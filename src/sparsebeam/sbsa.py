@@ -3,10 +3,14 @@
 A configuration is judged by how much the masked desired-source spatial
 spectrum overlaps each masked interferer spectrum: the objective is the
 bin-wise product of the two power spectra summed over DFT bins and
-interferers, weighted by the source powers. Spectra are DFTs of the
-conjugate-symmetric deterministic autocorrelation of the masked signal,
-which (for DFT length K >= 2N-1, no aliasing) coincides with the squared
-magnitude of the masked signal's zero-padded DFT. Greedy selection adds one
+interferers, weighted by the source powers. The spectrum of a masked signal
+z * v is the K-point DFT of its conjugate-symmetric deterministic
+autocorrelation, which for DFT length K >= 2N-1 (no lag aliasing) equals
+|DFT_K(z * v)|^2 (Wiener-Khinchin). The DFT is linear in the mask, so one
+per-scenario table T[n, s*K + f] = v_s[n] * exp(-2j*pi*n*f/K), desired
+source first and then each interferer, gives every source's DFT for a whole
+batch of 0/1 masks as `masks @ T`, computed as one real matmul against
+[T.real | T.imag]; the spectra are re^2 + im^2. Greedy selection adds one
 sensor at a time, minimizing the objective over the unselected grid
 locations; one pass is run per starting location and the configuration with
 the best output SINR wins.
@@ -19,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beamformer, scene
-from .beamformer import Sinr, mask_from_indices, validate_mask
+from .beamformer import Sinr, validate_mask
 
-SPECTRUM_IMAG_TOL = 1e-10
 _REL_TIE_TOL = 1e-12
 
 
@@ -34,6 +37,13 @@ def next_pow2(n: int) -> int:
 
 def default_dft_length(n_grid: int) -> int:
     return 2 * next_pow2(n_grid)
+
+
+def _check_dft_length(k: int, n_grid: int) -> int:
+    """Return `k`, or raise ValueError when K < 2N-1 would alias the autocorrelation."""
+    if k < 2 * n_grid - 1:
+        raise ValueError(f"dft_length {k} < 2N-1 = {2 * n_grid - 1} aliases the autocorrelation")
+    return k
 
 
 @dataclass(frozen=True)
@@ -57,9 +67,7 @@ class SbsaConfig:
 
     def resolve_dft_length(self, n_grid: int) -> int:
         k = self.dft_length if self.dft_length is not None else default_dft_length(n_grid)
-        if k < 2 * n_grid - 1:
-            raise ValueError(f"dft_length {k} < 2N-1 = {2 * n_grid - 1} aliases the autocorrelation")
-        return k
+        return _check_dft_length(k, n_grid)
 
     def resolve_starts(self, n_grid: int) -> list[int]:
         if self.start_indices is not None:
@@ -80,59 +88,47 @@ def selection_autocorrelation(mask) -> np.ndarray:
     return np.correlate(z, z, mode="full")
 
 
-def redundancy_lags(n_grid: int) -> np.ndarray:
-    return np.arange(-(n_grid - 1), n_grid)
-
-
-def _autocorr_fft(rows: np.ndarray, k: int) -> np.ndarray:
-    """Complex K-point DFT of the autocorrelation of each row (lags wrapped)."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=complex))
-    m, n = rows.shape
-    if k < 2 * n - 1:
-        raise ValueError(f"dft_length {k} < 2N-1 = {2 * n - 1} aliases the autocorrelation")
-    buf = np.zeros((m, k), dtype=complex)
-    for lag in range(n):
-        a = np.sum(rows[:, lag:] * rows[:, : n - lag].conj(), axis=1)
-        buf[:, lag] = a
-        if lag > 0:
-            buf[:, k - lag] = a.conj()
-    return np.fft.fft(buf, axis=1)
-
-
 def signal_spectrum(vec, dft_length: int) -> np.ndarray:
-    """K-point spatial power spectrum of a (masked) array signal.
+    """K-point spatial power spectrum |DFT_K(vec)|^2 of a (masked) array signal.
 
-    DFT of the conjugate-symmetric autocorrelation of `vec`, zero-padded to
-    `dft_length` (must be >= 2N-1). The result is real up to rounding; the
-    real part is returned, clamped at zero.
+    Equals the DFT of the conjugate-symmetric autocorrelation of `vec`
+    zero-padded to `dft_length`, which must be >= 2N-1.
     """
-    spec = _autocorr_fft(np.asarray(vec, dtype=complex)[None, :], dft_length)[0]
-    scale = max(float(np.abs(spec).max()), 1.0)
-    if float(np.abs(spec.imag).max()) > SPECTRUM_IMAG_TOL * scale:
-        raise ValueError("spectrum has non-negligible imaginary residue")
-    return np.maximum(spec.real, 0.0)
+    vec = np.asarray(vec, dtype=complex)
+    _check_dft_length(dft_length, vec.shape[-1])
+    return np.abs(np.fft.fft(vec, dft_length)) ** 2
 
 
 def omega_batch(masks: np.ndarray, geom, scn, dft_length: int) -> np.ndarray:
     """Spectral-overlap objective for each mask row (shared scenario)."""
     masks = np.atleast_2d(np.asarray(masks))
-    m = masks.shape[0]
-    if masks.shape[1] != geom.n_grid:
+    m, n = masks.shape
+    if n != geom.n_grid:
         raise ValueError("mask length must equal the grid size")
+    k = _check_dft_length(dft_length, n)
     if scn.n_interferers == 0:
         return np.zeros(m)
 
     signals = [scene.steering_vector(geom, scn.desired.doa_deg)]
     signals += [scene.steering_vector(geom, src.doa_deg) for src in scn.interferers]
-    sig = np.stack(signals)                       # (L+1, N)
-    rows = masks[:, None, :] * sig[None, :, :]    # (M, L+1, N)
-    spec = _autocorr_fft(rows.reshape(-1, geom.n_grid), dft_length).real
-    spec = np.maximum(spec, 0.0).reshape(m, sig.shape[0], dft_length)
+    sig = np.stack(signals)                                          # (S, N), S = L+1
+    twiddle = np.exp(-2j * np.pi / k * np.arange(k))
+    dft = twiddle[np.outer(np.arange(n), np.arange(k)) % k]          # (N, K)
+    table = (sig.T[:, :, None] * dft[:, None, :]).reshape(n, -1)      # (N, S*K)
+    # real and imaginary parts side by side: one real matmul, where a
+    # real @ complex product would be about 100x slower
+    parts = masks.astype(float) @ np.hstack([table.real, table.imag])
+    parts *= parts
+    width = table.shape[1]
+    spec = (parts[:, :width] + parts[:, width:]).reshape(m, len(signals), k)
 
-    des = scn.desired.power * spec[:, 0, :]
+    powers = np.array([src.power for src in scn.interferers])
+    overlap = (scn.desired.power * spec[:, :1, :]) * (powers[:, None] * spec[:, 1:, :])
+    per_interferer = overlap.sum(axis=2)                              # (M, L)
+    # left to right over interferers; np.sum may group the terms differently
     total = np.zeros(m)
-    for l, src in enumerate(scn.interferers):
-        total += np.sum(des * (src.power * spec[:, 1 + l, :]), axis=1)
+    for col in per_interferer.T:
+        total += col
     return total
 
 
@@ -177,38 +173,41 @@ def sbsa_select(geom, scn, p: int, cfg: SbsaConfig | None = None) -> SbsaResult:
     k = cfg.resolve_dft_length(n)
     starts = cfg.resolve_starts(n)
 
-    selected = [[s] for s in starts]
-    step_logs: list[list[tuple[int, float]]] = [[] for _ in starts]
-    for _ in range(p - 1):
-        cand = [[i for i in range(n) if i not in set(sel)] for sel in selected]
-        n_cand = len(cand[0])
-        masks = np.zeros((len(starts), n_cand, n), dtype=int)
-        for si, sel in enumerate(selected):
-            masks[si, :, sel] = 1
-            masks[si, np.arange(n_cand), cand[si]] = 1
-        vals = omega_batch(masks.reshape(-1, n), geom, scn, k).reshape(len(starts), n_cand)
-        for si in range(len(starts)):
-            # tie band: mirror-symmetric candidates produce equal objectives up
-            # to rounding; take the lowest grid index among near-ties
-            floor = vals[si].min()
-            j = int(np.argmax(vals[si] <= floor + _REL_TIE_TOL * max(abs(floor), 1.0)))
-            selected[si].append(cand[si][j])
-            step_logs[si].append((cand[si][j], float(vals[si][j])))
+    n_s = len(starts)
+    rows = np.arange(n_s)
+    chosen = np.zeros((n_s, n), dtype=bool)
+    chosen[rows, starts] = True
+    picks = np.empty((n_s, p - 1), dtype=np.intp)
+    objs = np.empty((n_s, p - 1))
+    for step in range(p - 1):
+        n_cand = n - 1 - step
+        # row-major nonzero keeps each start's candidates in ascending order
+        cand = np.nonzero(~chosen)[1].reshape(n_s, n_cand)
+        masks = np.repeat(chosen[:, None, :], n_cand, axis=1)
+        masks[rows[:, None], np.arange(n_cand), cand] = True
+        vals = omega_batch(masks.reshape(-1, n), geom, scn, k).reshape(n_s, n_cand)
+        # tie band: mirror-symmetric candidates produce equal objectives up
+        # to rounding; take the lowest grid index among near-ties
+        floor = vals.min(axis=1, keepdims=True)
+        j = np.argmax(vals <= floor + _REL_TIE_TOL * np.maximum(np.abs(floor), 1.0), axis=1)
+        picks[:, step] = cand[rows, j]
+        objs[:, step] = vals[rows, j]
+        chosen[rows, picks[:, step]] = True
 
     r_s, r_sn, r_xx = scene.correlation_matrices(geom, scn)
     steer = scene.steering_vector(geom, scn.desired.doa_deg)
-    subsets = np.array([sorted(sel) for sel in selected], dtype=np.intp)
+    subsets = np.nonzero(chosen)[1].reshape(n_s, p)
     sinrs = beamformer.subset_sinr_batch(r_sn, steer, scn.desired.power, subsets)
 
     best = 0
-    for si in range(1, len(starts)):
+    for si in range(1, n_s):
         if sinrs[si] > sinrs[best] * (1.0 + _REL_TIE_TOL):
             best = si
 
     traces = [
-        StartTrace(start=starts[si], steps=step_logs[si],
-                   mask=mask_from_indices(selected[si], n), sinr=Sinr(float(sinrs[si])))
-        for si in range(len(starts))
+        StartTrace(start=starts[si], steps=list(zip(picks[si].tolist(), objs[si].tolist())),
+                   mask=chosen[si].astype(int), sinr=Sinr(float(sinrs[si])))
+        for si in range(n_s)
     ]
     best_mask = traces[best].mask
     weights = beamformer.max_sinr_weights(r_s, r_xx, mask=best_mask)

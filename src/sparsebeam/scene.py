@@ -41,8 +41,8 @@ class SourceSpec:
     def __post_init__(self):
         if not 0.0 < self.doa_deg < 180.0:
             raise ValueError(f"doa_deg must lie strictly inside (0, 180), got {self.doa_deg}")
-        if not self.power > 0:
-            raise ValueError("source power must be positive")
+        if not (self.power > 0 and math.isfinite(self.power)):
+            raise ValueError(f"source power must be positive and finite, got {self.power}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "interferers", tuple(self.interferers))
-        if not self.noise_power > 0:
-            raise ValueError("noise_power must be positive")
+        if not (self.noise_power > 0 and math.isfinite(self.noise_power)):
+            raise ValueError(f"noise_power must be positive and finite, got {self.noise_power}")
         doas = [self.desired.doa_deg] + [s.doa_deg for s in self.interferers]
         if len(set(doas)) != len(doas):
             raise ValueError(f"all DOAs must be distinct, got {doas}")
@@ -121,6 +121,13 @@ def scenario_to_dict(scn: Scenario) -> dict:
     }
 
 
+def _db_power(noise_power: float, db) -> float:
+    try:
+        return noise_power * 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"power of {db} dB overflows a float") from None
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     noise_power = float(doc.get("noise_power", 1.0))
     doas = list(doc.get("interferer_doas_deg", []))
@@ -129,10 +136,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ValueError("interferer_doas_deg and inr_db must have equal length")
     desired = SourceSpec(
         doa_deg=float(doc["desired_doa_deg"]),
-        power=noise_power * 10.0 ** (float(doc["snr_db"]) / 10.0),
+        power=_db_power(noise_power, doc["snr_db"]),
     )
     interferers = tuple(
-        SourceSpec(doa_deg=float(d), power=noise_power * 10.0 ** (float(i) / 10.0))
+        SourceSpec(doa_deg=float(d), power=_db_power(noise_power, i))
         for d, i in zip(doas, inrs)
     )
     return Scenario(desired=desired, interferers=interferers, noise_power=noise_power)

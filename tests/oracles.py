@@ -68,3 +68,62 @@ def random_oracle_case(rng, n_grid, max_interferers=4, desired_pool=None):
     doas = [float(d) for d in rng.choice(grid, size=l_count, replace=False)]
     powers = [float(10.0 ** (db / 10.0)) for db in rng.uniform(10.0, 20.0, l_count)]
     return desired, doas, powers
+
+
+def oracle_autocorr_spectrum(rows, k):
+    """K-point power spectrum of each row, lag by lag.
+
+    Builds the conjugate-symmetric deterministic autocorrelation of each row
+    (lags wrapped into a K-point buffer, K >= 2N-1 so none alias), takes its
+    DFT and keeps the real part, clamped at zero.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=complex))
+    m, n = rows.shape
+    assert k >= 2 * n - 1
+    buf = np.zeros((m, k), dtype=complex)
+    for lag in range(n):
+        a = np.sum(rows[:, lag:] * rows[:, : n - lag].conj(), axis=1)
+        buf[:, lag] = a
+        if lag > 0:
+            buf[:, k - lag] = a.conj()
+    return np.maximum(np.fft.fft(buf, axis=1).real, 0.0)
+
+
+def oracle_omega(masks, spacing, desired_doa, desired_power,
+                 interferer_doas, interferer_powers, k):
+    """Spectral overlap of each mask row: desired spectrum times each
+    interferer spectrum, power weighted, summed over bins and interferers."""
+    masks = np.atleast_2d(np.asarray(masks, dtype=float))
+    n = masks.shape[1]
+    des = desired_power * oracle_autocorr_spectrum(
+        masks * oracle_steering(n, spacing, desired_doa), k)
+    total = np.zeros(masks.shape[0])
+    for doa, pw in zip(interferer_doas, interferer_powers):
+        spec = oracle_autocorr_spectrum(masks * oracle_steering(n, spacing, doa), k)
+        total += np.sum(des * (pw * spec), axis=1)
+    return total
+
+
+def oracle_greedy_steps(n, p, k, spacing, desired_doa, desired_power,
+                        interferer_doas, interferer_powers):
+    """Greedy overlap search from every start: per start, the list of
+    (chosen index, objective) as each step adds the unselected index of least
+    overlap, near-ties (TIE_TOL) going to the lowest index."""
+    traces = []
+    for start in range(n):
+        selected = [start]
+        steps = []
+        for _ in range(p - 1):
+            cand = [i for i in range(n) if i not in selected]
+            masks = np.zeros((len(cand), n))
+            for row, c in enumerate(cand):
+                masks[row, selected + [c]] = 1.0
+            vals = oracle_omega(masks, spacing, desired_doa, desired_power,
+                                interferer_doas, interferer_powers, k)
+            floor = min(vals)
+            j = next(r for r, v in enumerate(vals)
+                     if v <= floor + TIE_TOL * max(abs(floor), 1.0))
+            selected.append(cand[j])
+            steps.append((cand[j], float(vals[j])))
+        traces.append(steps)
+    return traces

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import sparsebeam
 from sparsebeam import cli, harness, mlp, scene
 
 
@@ -169,11 +171,38 @@ def test_bad_inputs_exit_code_two(tmp_path, scenario_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("inr_db", ["1e400", "5000"])
+def test_overflowing_source_power_exit_code_two(tmp_path, capsys, inr_db):
+    # 1e400 parses as an infinite dB value; 5000 dB overflows 10 ** (dB / 10)
+    path = tmp_path / "scene.json"
+    path.write_text('{"desired_doa_deg": 60.0, "snr_db": 0.0, '
+                    f'"interferer_doas_deg": [110.0], "inr_db": [{inr_db}]}}')
+    for command in ("fig7", "compare"):
+        capsys.readouterr()
+        rc = cli.main([command, str(path), "--n-grid", "8", "--n-select", "3",
+                       "--out-dir", str(tmp_path / command)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_fig7_rejects_aliasing_dft_length(scenario_path, tmp_path, capsys):
+    rc = cli.main(["fig7", scenario_path, "--n-grid", "16", "--n-select", "3",
+                   "--dft-length", "8", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "dft_length 8 < 2N-1 = 31" in err and err.count("\n") == 1
+
+
 def test_version_and_module_entry(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "sparsebeam" in capsys.readouterr().out
+    # the child process imports the same package the tests import
+    src = os.path.dirname(os.path.dirname(sparsebeam.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "sparsebeam", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0

@@ -5,6 +5,8 @@ import pytest
 
 from sparsebeam import beamformer, enumeration, sbsa, scene
 
+from . import oracles
+
 
 def build(l_count=2, seed=0, n_grid=12, desired=60.0):
     rng = np.random.default_rng(seed)
@@ -66,6 +68,61 @@ def test_signal_spectrum_is_real_nonnegative_and_parseval_consistent():
     # DFT of the autocorrelation: bin sum recovers k * |lag-0 term|
     acf = np.correlate(v, v, "full").conj()[::-1]
     assert spec.sum() == pytest.approx(k * acf[geom.n_grid - 1].real, rel=1e-12)
+
+
+def oracle_scene(rng, n_grid, l_count):
+    """Scenario drawn the way the oracles take it, plus the library object."""
+    desired = float(rng.uniform(20.0, 160.0))
+    doas = [float(d) for d in rng.choice(
+        [d for d in np.arange(10.0, 171.0) if abs(d - desired) > 0.5],
+        size=l_count, replace=False)]
+    powers = [float(10.0 ** u) for u in rng.uniform(1.0, 2.0, l_count)]
+    p_des = float(10.0 ** rng.uniform(-1.0, 1.0))
+    scn = scene.Scenario(
+        desired=scene.SourceSpec(doa_deg=desired, power=p_des),
+        interferers=tuple(scene.SourceSpec(doa_deg=d, power=pw)
+                          for d, pw in zip(doas, powers)))
+    return scn, (desired, p_des, doas, powers)
+
+
+@pytest.mark.parametrize("n_grid", [8, 12, 16, 20])
+def test_omega_batch_and_spectrum_match_lag_loop_reference(n_grid):
+    rng = np.random.default_rng(n_grid)
+    geom = scene.ArrayGeometry(n_grid=n_grid)
+    masks = (rng.random((24, n_grid)) < 0.5).astype(int)
+    default = sbsa.default_dft_length(n_grid)
+    for k in (2 * n_grid - 1, default, 2 * default):
+        for l_count in range(5):
+            scn, (desired, p_des, doas, powers) = oracle_scene(rng, n_grid, l_count)
+            want = oracles.oracle_omega(masks, 0.5, desired, p_des, doas, powers, k)
+            np.testing.assert_allclose(sbsa.omega_batch(masks, geom, scn, k), want,
+                                       rtol=1e-12, atol=0.0)
+            for doa in [desired] + doas:
+                rows = masks * oracles.oracle_steering(n_grid, 0.5, doa)
+                ref = oracles.oracle_autocorr_spectrum(rows, k)
+                for row, want_spec in zip(rows, ref):
+                    # bins near a null carry rounding of the peak's size
+                    err = np.abs(sbsa.signal_spectrum(row, k) - want_spec).max()
+                    assert err <= 1e-12 * want_spec.max()
+
+
+@pytest.mark.parametrize("n_grid", [12, 16])
+def test_greedy_steps_match_loop_reference(n_grid):
+    rng = np.random.default_rng(100 + n_grid)
+    geom = scene.ArrayGeometry(n_grid=n_grid)
+    k = sbsa.default_dft_length(n_grid)
+    for _ in range(20):
+        scn, (desired, p_des, doas, powers) = oracle_scene(
+            rng, n_grid, int(rng.integers(1, 5)))
+        res = sbsa.sbsa_select(geom, scn, 6)
+        ref = oracles.oracle_greedy_steps(n_grid, 6, k, 0.5, desired, p_des, doas, powers)
+        assert [t.start for t in res.starts] == list(range(n_grid))
+        for trace, steps in zip(res.starts, ref):
+            assert [i for i, _ in trace.steps] == [i for i, _ in steps]
+            np.testing.assert_allclose([v for _, v in trace.steps],
+                                       [v for _, v in steps], rtol=1e-12)
+            assert trace.mask.tolist() == beamformer.mask_from_indices(
+                [trace.start] + [i for i, _ in steps], n_grid).tolist()
 
 
 def test_omega_zero_without_interference():

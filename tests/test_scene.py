@@ -126,7 +126,8 @@ def test_scenario_dict_round_trip(tmp_path):
 
 
 def test_scenario_rejects_nonpositive_powers():
-    with pytest.raises(ValueError):
-        scene.SourceSpec(doa_deg=45.0, power=0.0)
-    with pytest.raises(ValueError):
-        scene.Scenario(desired=scene.SourceSpec(doa_deg=45.0), noise_power=0.0)
+    for bad in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            scene.SourceSpec(doa_deg=45.0, power=bad)
+        with pytest.raises(ValueError):
+            scene.Scenario(desired=scene.SourceSpec(doa_deg=45.0), noise_power=bad)
