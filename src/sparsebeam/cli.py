@@ -142,8 +142,10 @@ def cmd_train(args) -> int:
             "monitor": cfg.monitor,
         },
         "model": args.model_name,
+        "compute_dtype": np.dtype(mlp.COMPUTE_DTYPE).name,
         "ensemble_members": len(results),
         "members": [{
+            "fit_s": r.fit_s,
             "best_epoch": r.best_epoch,
             "stopped_early": r.stopped_early,
             "train_losses": r.train_losses,

@@ -6,14 +6,20 @@ against 0/1 selection masks, and ADAM with bias correction. The network
 scores each grid location; a P-sensor configuration is read off as the
 top-P scores. Feature standardization (per-feature mean/scale learned on the
 training split) is stored inside the model so inference takes raw features.
+
+Training computes in float32 (COMPUTE_DTYPE) in buffers allocated once per
+fit; checkpoints are scored, stored and evaluated in float64, so model files
+and inference are float64.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 import struct
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,6 +31,8 @@ _SCALE_FLOOR = 1e-12
 _STRATUM_RE = re.compile(r"-L(\d+)-")
 
 DEFAULT_HIDDEN = (450, 250, 80)
+# training arithmetic; weights are stored and evaluated in float64
+COMPUTE_DTYPE = np.float32
 
 
 class TrainingDivergedError(RuntimeError):
@@ -118,84 +126,42 @@ def _standardize(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return (x - model.feature_mean) / model.feature_scale
 
 
-def _forward_cached(model, x, keep_prob, rng, dropout_masks):
-    """Forward pass keeping everything backprop needs.
-
-    Dropout (inverted, applied after ReLU on hidden layers only) fires when
-    keep_prob < 1 and either an rng or explicit 0/1 masks are supplied;
-    explicit masks make the pass deterministic for gradient checks.
-    """
-    a = _standardize(model, np.atleast_2d(np.asarray(x, dtype=float)))
-    acts = [a]
-    pre = []
-    masks = []
-    last = model.n_layers - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w + b
-        pre.append(z)
-        if i == last:
-            acts.append(z)
-            continue
-        h = np.maximum(z, 0.0)
-        mask = None
-        if keep_prob < 1.0:
-            if dropout_masks is not None:
-                mask = np.asarray(dropout_masks[i], dtype=float)
-            elif rng is not None:
-                mask = (rng.random(h.shape) < keep_prob).astype(float)
-        if mask is not None:
-            h = h * mask / keep_prob
-        masks.append(mask)
-        acts.append(h)
-    return acts, pre, masks
-
-
 def forward(model, x, *, keep_prob: float = 1.0, rng=None,
             dropout_masks=None) -> np.ndarray:
     """Network scores for a batch of raw feature vectors, shape (B, n_out).
 
-    Inference drops nothing; pass keep_prob < 1 with an rng (or fixed masks)
-    to reproduce the training-time stochastic pass. An EnsembleModel returns
-    the mean of its members' scores (inference only).
+    Computes in float64. Inference drops nothing; pass keep_prob < 1 with an
+    rng (or fixed 0/1 masks) for a stochastic pass with inverted dropout after
+    each hidden ReLU. An EnsembleModel returns the mean of its members'
+    scores (inference only).
     """
     if isinstance(model, EnsembleModel):
         if keep_prob < 1.0 or rng is not None or dropout_masks is not None:
             raise ValueError("ensembles are inference-only; train members individually")
         return np.mean([forward(m, x) for m in model.members], axis=0)
-    acts, _, _ = _forward_cached(model, x, keep_prob, rng, dropout_masks)
-    out = acts[-1]
-    return out[0] if np.asarray(x).ndim == 1 else out
+    a = _standardize(model, np.atleast_2d(np.asarray(x, dtype=float)))
+    last = model.n_layers - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = a @ w + b
+        if i < last:
+            a = np.maximum(a, 0.0)
+            if keep_prob < 1.0 and dropout_masks is not None:
+                a = a * dropout_masks[i] / keep_prob
+            elif keep_prob < 1.0 and rng is not None:
+                a = a * (rng.random(a.shape) < keep_prob) / keep_prob
+    return a[0] if np.asarray(x).ndim == 1 else a
 
 
-def mse_loss_and_grads(model: MlpModel, x, y, *, keep_prob: float = 1.0,
-                       rng=None, dropout_masks=None):
-    """Loss (mean square error over batch x outputs) and parameter gradients.
-
-    Returns (loss, grads) where grads = {"w": [...], "b": [...]} aligned with
-    model.weights / model.biases.
-    """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    acts, pre, masks = _forward_cached(model, x, keep_prob, rng, dropout_masks)
-    pred = acts[-1]
-    if pred.shape != y.shape:
-        raise ValueError(f"targets shape {y.shape} does not match output {pred.shape}")
-    b_sz, n_out = pred.shape
-    diff = pred - y
-    loss = float(np.mean(diff * diff))
-
-    grad_w = [None] * model.n_layers
-    grad_b = [None] * model.n_layers
-    dz = 2.0 * diff / (b_sz * n_out)
-    for i in range(model.n_layers - 1, -1, -1):
-        grad_w[i] = acts[i].T @ dz
-        grad_b[i] = dz.sum(axis=0)
-        if i == 0:
-            break
-        da = dz @ model.weights[i].T
-        if masks[i - 1] is not None:
-            da = da * masks[i - 1] / keep_prob
-        dz = da * (pre[i - 1] > 0.0)
-    return loss, {"w": grad_w, "b": grad_b}
+def _param_views(flat: np.ndarray, sizes) -> tuple[list, list]:
+    """Per-layer (weights, biases) views into one flat buffer laid out as
+    W_0 (row-major), b_0, W_1, b_1, ..."""
+    weights, biases, lo = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        hi = lo + fan_in * fan_out
+        weights.append(flat[lo:hi].reshape(fan_in, fan_out))
+        biases.append(flat[hi:hi + fan_out])
+        lo = hi + fan_out
+    return weights, biases
 
 
 @dataclass
@@ -220,16 +186,129 @@ def adam_init(model: MlpModel) -> AdamState:
 
 def adam_step(model: MlpModel, grads, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One in-place ADAM update with bias-corrected moment estimates."""
+    """One in-place ADAM update with bias-corrected moment estimates.
+
+    Each array is updated in its own dtype, through one scratch buffer shared
+    by all of them. The bias corrections are folded into the step and eps:
+    lr * (m / c1) / (sqrt(v / c2) + eps) equals
+    (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2)).
+    """
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
-    for params, gs, ms, vs in ((model.weights, grads["w"], state.m_w, state.v_w),
-                               (model.biases, grads["b"], state.m_b, state.v_b)):
-        for i, g in enumerate(gs):
-            ms[i] = beta1 * ms[i] + (1.0 - beta1) * g
-            vs[i] = beta2 * vs[i] + (1.0 - beta2) * (g * g)
-            params[i] -= lr * (ms[i] / c1) / (np.sqrt(vs[i] / c2) + eps)
+    root_c2 = math.sqrt(1.0 - beta2 ** state.t)
+    # Python floats, so float32 buffers are updated in float32 arithmetic
+    step, eps_hat = float(lr * root_c2 / c1), float(eps * root_c2)
+    params = model.weights + model.biases
+    scratch = np.empty(max(p.size for p in params), params[0].dtype)
+    for p, g, m, v in zip(params, grads["w"] + grads["b"],
+                          state.m_w + state.m_b, state.v_w + state.v_b):
+        tmp = scratch[:p.size].reshape(p.shape)
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=tmp)
+        m += tmp
+        v *= beta2
+        np.multiply(g, 1.0 - beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp += eps_hat
+        np.divide(m, tmp, out=tmp)
+        tmp *= step
+        p -= tmp
+
+
+class TrainWorkspace:
+    """Every buffer a mse_loss_and_grads call writes, allocated once for a fit.
+
+    Per layer there is a gradient for the weights and the biases, an
+    activation buffer (which backprop overwrites with that layer's error) and,
+    per hidden layer, a scaled dropout mask, all `batch_size` rows tall;
+    shorter batches use the leading rows.
+    """
+
+    def __init__(self, layer_sizes, batch_size: int, dtype=COMPUTE_DTYPE):
+        sizes = [int(s) for s in layer_sizes]
+        rows = int(batch_size)
+        dtype = np.dtype(dtype)
+        pairs = list(zip(sizes[:-1], sizes[1:]))
+        self.grads = {"w": [np.empty((a, b), dtype) for a, b in pairs],
+                      "b": [np.empty(b, dtype) for _, b in pairs]}
+        self.acts = [np.empty((rows, s), dtype) for s in sizes[1:]]
+        self.masks = [np.empty((rows, s), dtype) for s in sizes[1:-1]]
+        width = max(sizes[1:-1], default=0)
+        # dropout draws stay float64 so the rng stream matches rng.random(shape)
+        self._draws = np.empty(rows * width)
+        self._back = np.empty(rows * width, dtype)
+
+    def draws(self, shape) -> np.ndarray:
+        return self._draws[:shape[0] * shape[1]].reshape(shape)
+
+    def back(self, shape) -> np.ndarray:
+        return self._back[:shape[0] * shape[1]].reshape(shape)
+
+
+def mse_loss_and_grads(model: MlpModel, x, y, *, keep_prob: float = 1.0,
+                       rng=None, dropout_masks=None,
+                       workspace: TrainWorkspace | None = None):
+    """Loss (mean square error over batch x outputs) and parameter gradients.
+
+    Computes in the dtype of model's weights, in the buffers of `workspace`
+    (one is built for the call when none is given). Returns (loss, grads)
+    where grads = {"w": [...], "b": [...]} aligned with model.weights /
+    model.biases; they are the workspace's buffers, valid until its next
+    call.
+    """
+    dtype = model.weights[0].dtype
+    x = np.asarray(_standardize(model, np.atleast_2d(np.asarray(x))), dtype=dtype)
+    y = np.atleast_2d(np.asarray(y, dtype=dtype))
+    rows = x.shape[0]
+    if y.shape != (rows, model.layer_sizes[-1]):
+        raise ValueError(f"targets shape {y.shape} does not match output "
+                         f"{(rows, model.layer_sizes[-1])}")
+    if workspace is None:
+        workspace = TrainWorkspace(model.layer_sizes, rows, dtype)
+    acts = [buf[:rows] for buf in workspace.acts]
+    last = model.n_layers - 1
+    masks = [None] * last
+    a = x
+    for i, (w, b, out) in enumerate(zip(model.weights, model.biases, acts)):
+        np.matmul(a, w, out=out)
+        out += b
+        if i < last:
+            np.maximum(out, 0.0, out=out)
+            if keep_prob < 1.0 and (dropout_masks is not None or rng is not None):
+                mask = masks[i] = workspace.masks[i][:rows]
+                if dropout_masks is not None:
+                    mask[...] = dropout_masks[i]
+                else:
+                    np.less(rng.random(out=workspace.draws(mask.shape)), keep_prob,
+                            out=mask)
+                mask *= 1.0 / keep_prob
+                out *= mask
+        a = out
+
+    delta = acts[last]
+    delta -= y
+    flat = delta.reshape(-1)
+    loss = float(np.dot(flat, flat)) / flat.size
+    delta *= 2.0 / flat.size
+    grad_w, grad_b = workspace.grads["w"], workspace.grads["b"]
+    for i in range(last, -1, -1):
+        a_in = x if i == 0 else acts[i - 1]
+        np.matmul(a_in.T, delta, out=grad_w[i])
+        np.sum(delta, axis=0, out=grad_b[i])
+        if i == 0:
+            break
+        back = workspace.back(a_in.shape)
+        np.matmul(delta, model.weights[i].T, out=back)
+        if masks[i - 1] is not None:
+            back *= masks[i - 1]
+        # a hidden output is positive exactly where its ReLU passed and its
+        # unit was kept, so it gates the error in place of the pre-activation
+        np.greater(a_in, 0.0, out=a_in)
+        a_in *= back
+        delta = a_in
+    return loss, workspace.grads
 
 
 @dataclass(frozen=True)
@@ -269,6 +348,8 @@ class TrainResult:
     val_losses: list[float] = field(default_factory=list)
     best_epoch: int = -1
     stopped_early: bool = False
+    # wall seconds of the whole fit (telemetry)
+    fit_s: float = 0.0
 
 
 def _stratum_keys(scenario_ids):
@@ -313,15 +394,24 @@ def train(features, labels, cfg: TrainConfig | None = None,
     parameters from the best validation epoch (train loss when there is no
     validation split). Raises TrainingDivergedError on non-finite loss.
 
+    The steps compute in COMPUTE_DTYPE on one flat parameter buffer and one
+    TrainWorkspace: the training rows are standardized once in float64 and
+    cast, and dropout is drawn in float64 from the same rng as the shuffles.
+    Each epoch's parameters are upcast to float64 and scored on the
+    validation rows with forward/predict_selection; the returned model is
+    float64.
+
     initial_model warm-starts from an existing model instead of a fresh
     Xavier init; its standardization stats are kept so the feature space
     stays consistent across phases.
     """
+    t0 = time.perf_counter()
     cfg = cfg or TrainConfig()
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("features and labels must be 2-D with matching rows")
+    sizes = [x.shape[1], *cfg.hidden_sizes, y.shape[1]]
 
     rng = np.random.default_rng(cfg.rng_seed)
     split_rng = rng if cfg.split_seed is None else np.random.default_rng(cfg.split_seed)
@@ -330,15 +420,13 @@ def train(features, labels, cfg: TrainConfig | None = None,
     x_tr, y_tr = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
 
-    sizes = [x.shape[1], *cfg.hidden_sizes, y.shape[1]]
     if initial_model is not None:
         if (initial_model.layer_sizes[0] != sizes[0]
                 or initial_model.layer_sizes[-1] != sizes[-1]):
             raise ValueError("initial_model layer sizes do not match the data")
         model = MlpModel(
             layer_sizes=list(initial_model.layer_sizes),
-            weights=[w.copy() for w in initial_model.weights],
-            biases=[b.copy() for b in initial_model.biases],
+            weights=initial_model.weights, biases=initial_model.biases,
             feature_mean=None if initial_model.feature_mean is None
             else initial_model.feature_mean.copy(),
             feature_scale=None if initial_model.feature_scale is None
@@ -352,7 +440,17 @@ def train(features, labels, cfg: TrainConfig | None = None,
             model.feature_mean = base.mean(axis=0)
             model.feature_scale = np.maximum(base.std(axis=0), _SCALE_FLOOR)
 
-    state = adam_init(model)
+    # the steps update the float32 parameters in place, through per-layer views
+    params = np.concatenate([a.ravel() for pair in zip(model.weights, model.biases)
+                             for a in pair]).astype(COMPUTE_DTYPE)
+    live = MlpModel(model.layer_sizes, *_param_views(params, model.layer_sizes))
+    adam = adam_init(live)
+    workspace = TrainWorkspace(model.layer_sizes, cfg.batch_size)
+    x_tr = _standardize(model, x_tr).astype(COMPUTE_DTYPE)
+    y_tr = y_tr.astype(COMPUTE_DTYPE)
+    x_buf = np.empty((cfg.batch_size, x_tr.shape[1]), COMPUTE_DTYPE)
+    y_buf = np.empty((cfg.batch_size, y_tr.shape[1]), COMPUTE_DTYPE)
+
     result = TrainResult(model=model)
     best = ((np.inf,), None)
     bad_epochs = 0
@@ -362,15 +460,19 @@ def train(features, labels, cfg: TrainConfig | None = None,
         batch_losses = []
         for lo in range(0, n_tr, cfg.batch_size):
             sel = order[lo:lo + cfg.batch_size]
+            xb = np.take(x_tr, sel, axis=0, out=x_buf[:len(sel)], mode="clip")
+            yb = np.take(y_tr, sel, axis=0, out=y_buf[:len(sel)], mode="clip")
             loss, grads = mse_loss_and_grads(
-                model, x_tr[sel], y_tr[sel], keep_prob=cfg.keep_prob, rng=rng)
+                live, xb, yb, keep_prob=cfg.keep_prob, rng=rng, workspace=workspace)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            adam_step(model, grads, state, cfg.learning_rate)
+            adam_step(live, grads, adam, cfg.learning_rate)
             batch_losses.append(loss)
         train_loss = float(np.mean(batch_losses))
         result.train_losses.append(train_loss)
 
+        flat = params.astype(np.float64)
+        model.weights, model.biases = _param_views(flat, model.layer_sizes)
         if len(val_idx):
             pred = forward(model, x_val)
             val_loss = float(np.mean((pred - y_val) ** 2))
@@ -391,8 +493,7 @@ def train(features, labels, cfg: TrainConfig | None = None,
             monitor = (train_loss,)
 
         if monitor < best[0]:
-            best = (monitor, ([w.copy() for w in model.weights],
-                              [b.copy() for b in model.biases]))
+            best = (monitor, flat)
             result.best_epoch = epoch
             bad_epochs = 0
         else:
@@ -402,7 +503,8 @@ def train(features, labels, cfg: TrainConfig | None = None,
                 break
 
     if best[1] is not None:
-        model.weights, model.biases = best[1]
+        model.weights, model.biases = _param_views(best[1], model.layer_sizes)
+    result.fit_s = time.perf_counter() - t0
     return result
 
 
@@ -463,18 +565,32 @@ def _write_single(fh, model: MlpModel) -> None:
         fh.write(np.ascontiguousarray(model.feature_scale, dtype="<f8").tobytes())
 
 
-def _read_single(fh) -> MlpModel:
+class _ModelBytes:
+    """A model file's bytes, handed out front to back without copying."""
+
+    def __init__(self, data: bytes):
+        self._view = memoryview(data)
+        self._pos = 0
+
+    def read(self, n: int) -> memoryview:
+        """The next n bytes; ValueError when fewer remain."""
+        if n > len(self._view) - self._pos:
+            raise ValueError("model file truncated")
+        self._pos += n
+        return self._view[self._pos - n:self._pos]
+
+
+def _read_single(fh: _ModelBytes) -> MlpModel:
     fmt, n_sizes = struct.unpack("<II", fh.read(8))
     if fmt != _FORMAT:
         raise ValueError(f"unsupported model format {fmt}")
     sizes = list(struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes)))
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ValueError("implausible layer sizes in model file")
     (flags,) = struct.unpack("<B", fh.read(1))
 
     def read_array(shape):
-        count = int(np.prod(shape))
-        buf = fh.read(8 * count)
-        if len(buf) != 8 * count:
-            raise ValueError("model payload truncated")
+        buf = fh.read(8 * math.prod(shape))
         return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
 
     weights, biases = [], []
@@ -524,15 +640,21 @@ def save_model(path, model) -> None:
 
 
 def load_model(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic == _MAGIC:
-            return _read_single(fh)
-        if magic == _MAGIC_ENSEMBLE:
-            (count,) = struct.unpack("<I", fh.read(4))
-            if not 1 <= count <= 4096:
-                raise ValueError(f"implausible ensemble member count {count}")
-            return EnsembleModel([_read_single(fh) for _ in range(count)])
+    """Read a save_model file; a malformed or truncated one is a ValueError.
+
+    The whole file is read first, so sizes in a corrupt header can make a
+    read come up short but never allocate more than the file holds.
+    """
+    with open(path, "rb") as raw:
+        fh = _ModelBytes(raw.read())
+    magic = fh.read(4)
+    if magic == _MAGIC:
+        return _read_single(fh)
+    if magic == _MAGIC_ENSEMBLE:
+        (count,) = struct.unpack("<I", fh.read(4))
+        if not 1 <= count <= 4096:
+            raise ValueError(f"implausible ensemble member count {count}")
+        return EnsembleModel([_read_single(fh) for _ in range(count)])
     raise ValueError("not a model file")
 
 
@@ -570,20 +692,47 @@ def write_dataset_csv(path, examples) -> None:
 
 
 def read_dataset_csv(path) -> list[LabeledExample]:
+    """Rows of a write_dataset_csv file, each checked before use.
+
+    With 2N-1 feature columns in the header, every row must hold a numeric
+    look_doa_deg, that many finite features and a label of exactly N characters, each 0 or 1, with
+    the same number of ones on every row; a row that breaks this is a
+    ValueError naming its line.
+    """
     examples = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         n_feat = len(header) - 3
-        if n_feat < 1 or header[:2] != ["scenario_id", "look_doa_deg"] \
+        if n_feat < 1 or n_feat % 2 == 0 \
+                or header[:2] != ["scenario_id", "look_doa_deg"] \
                 or header[-1] != "label_mask_bits":
             raise ValueError("unrecognized dataset header")
+        n = (n_feat + 1) // 2
+        weight = None
         for row in reader:
-            feats = np.array([float(v) for v in row[2:2 + n_feat]])
-            mask = np.array([int(c) for c in row[-1]], dtype=int)
+            where = f"{path} line {reader.line_num}"
+            if len(row) != n_feat + 3:
+                raise ValueError(f"{where}: {len(row)} fields, expected {n_feat + 3}")
+            try:
+                look = float(row[1])
+                feats = [float(v) for v in row[2:2 + n_feat]]
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric field") from None
+            if not all(map(math.isfinite, feats)):
+                raise ValueError(f"{where}: non-finite feature")
+            bits = row[-1]
+            if len(bits) != n or set(bits) - {"0", "1"}:
+                raise ValueError(f"{where}: label {bits!r} is not {n} bits of 0/1")
+            if weight is None:
+                weight = bits.count("1")
+            elif bits.count("1") != weight:
+                raise ValueError(f"{where}: label {bits!r} selects "
+                                 f"{bits.count('1')} sensors, earlier rows {weight}")
             examples.append(LabeledExample(
-                scenario_id=row[0], look_doa_deg=float(row[1]),
-                features=feats, label_mask=mask))
+                scenario_id=row[0], look_doa_deg=look,
+                features=np.array(feats),
+                label_mask=np.array([int(c) for c in bits], dtype=int)))
     return examples
 
 

@@ -127,3 +127,68 @@ def oracle_greedy_steps(n, p, k, spacing, desired_doa, desired_power,
             steps.append((cand[j], float(vals[j])))
         traces.append(steps)
     return traces
+
+
+def oracle_train_steps(x, y, hidden, seed, batch_size, keep_prob, lr, n_steps):
+    """The float64 training loop, step by step, with no validation split.
+
+    Xavier-uniform init from default_rng(seed); each row divided by its
+    leading (power) feature, then standardized per feature over all rows;
+    one rng = default_rng(seed) draws every epoch's shuffle and, during
+    each forward pass, every hidden layer's keep mask (rng.random(shape) <
+    keep_prob); inverted dropout after ReLU; MSE loss; ADAM (0.9, 0.999,
+    1e-8) with bias correction. Returns one (standardized batch rows, keep
+    masks, loss) per step for the first n_steps steps.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    sizes = [x.shape[1], *hidden, y.shape[1]]
+    init = np.random.default_rng(seed)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(init.uniform(-limit, limit, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    params = weights + biases
+    moments = [[np.zeros_like(p) for p in params] for _ in range(2)]
+
+    lead = x[:, :1]
+    x = x / np.where(np.abs(lead) < 1e-12, 1.0, lead)
+    x = (x - x.mean(axis=0)) / np.maximum(x.std(axis=0), 1e-12)
+
+    rng = np.random.default_rng(seed)
+    steps = []
+    while len(steps) < n_steps:
+        order = rng.permutation(x.shape[0])
+        for lo in range(0, x.shape[0], batch_size):
+            sel = order[lo:lo + batch_size]
+            acts, pres, keeps = [x[sel]], [], []
+            for i, (w, b) in enumerate(zip(weights, biases)):
+                z = acts[-1] @ w + b
+                pres.append(z)
+                if i == len(weights) - 1:
+                    acts.append(z)
+                    continue
+                keep = rng.random(z.shape) < keep_prob
+                keeps.append(keep)
+                acts.append(np.maximum(z, 0.0) * keep.astype(float) / keep_prob)
+            diff = acts[-1] - y[sel]
+            loss = float(np.mean(diff * diff))
+            grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+            dz = 2.0 * diff / diff.size
+            for i in range(len(weights) - 1, -1, -1):
+                grad_w[i] = acts[i].T @ dz
+                grad_b[i] = dz.sum(axis=0)
+                if i > 0:
+                    da = (dz @ weights[i].T) * keeps[i - 1] / keep_prob
+                    dz = da * (pres[i - 1] > 0.0)
+            t = len(steps) + 1
+            for p, g, m, v in zip(params, grad_w + grad_b, *moments):
+                m[...] = 0.9 * m + 0.1 * g
+                v[...] = 0.999 * v + 0.001 * (g * g)
+                p -= lr * (m / (1.0 - 0.9 ** t)) / (
+                    np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+            steps.append((acts[0], keeps, loss))
+            if len(steps) == n_steps:
+                break
+    return steps

@@ -70,6 +70,8 @@ def test_train_command_writes_loadable_model(config_path, tmp_path):
     assert manifest["train_config"]["normalize_power"] is True
     assert manifest["n_examples"] == 12
     assert manifest["ensemble_members"] == 1
+    assert manifest["compute_dtype"] == "float32"
+    assert manifest["members"][0]["fit_s"] > 0.0
 
     rc = cli.main(["train", str(data_dir / "train.csv"),
                    "--out-dir", str(out), "--model-name", "ens.bin",
@@ -184,6 +186,73 @@ def test_overflowing_source_power_exit_code_two(tmp_path, capsys, inr_db):
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_truncated_model_file_exit_code_two(config_path, tmp_path, capsys):
+    # cuts inside the magic, the header (format, layer count, member count,
+    # layer sizes) and the payload, of a single network and of an ensemble
+    net = mlp.init_model([15, 6, 8], seed=0)
+    for name, model in (("net.bin", net), ("ens.bin", mlp.EnsembleModel([net, net]))):
+        whole = tmp_path / name
+        mlp.save_model(whole, model)
+        blob = whole.read_bytes()
+        for cut in (2, 6, 10, 14, 20, len(blob) - 10):
+            trunc = tmp_path / f"cut{cut}-{name}"
+            trunc.write_bytes(blob[:cut])
+            capsys.readouterr()
+            rc = cli.main(["eval", config_path, "--model", f"dnn={trunc}",
+                           "--methods", "compact_ula", "--out-dir", str(tmp_path)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _short_row(row):
+    return row[:5] + row[6:]
+
+
+def _mask_with_a_two(row):
+    return row[:-1] + ["2" + row[-1][1:]]
+
+
+def _mask_too_long(row):
+    return row[:-1] + [row[-1] + "0"]
+
+
+def _mask_of_other_weight(row):
+    return row[:-1] + ["1" * len(row[-1])]
+
+
+def _non_finite_feature(row):
+    return row[:4] + ["nan"] + row[5:]
+
+
+def _non_numeric_feature(row):
+    return row[:4] + ["abc"] + row[5:]
+
+
+def _non_numeric_look(row):
+    return row[:1] + ["abc"] + row[2:]
+
+
+@pytest.mark.parametrize("corrupt", [_short_row, _mask_with_a_two, _mask_too_long,
+                                     _mask_of_other_weight, _non_finite_feature,
+                                     _non_numeric_feature, _non_numeric_look])
+def test_train_rejects_bad_dataset_rows(config_path, tmp_path, capsys, corrupt):
+    data = tmp_path / "data"
+    cli.main(["gen-data", config_path, "--part", "train", "--out-dir", str(data)])
+    rows = read_csv(data / "train.csv")
+    rows[3] = corrupt(rows[3])
+    bad = tmp_path / "bad.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    rc = cli.main(["train", str(bad), "--hidden", "4", "--epochs", "1",
+                   "--out-dir", str(tmp_path / "fit")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 4" in err and err.count("\n") == 1
+    assert not (tmp_path / "fit" / "model.bin").exists()
 
 
 def test_fig7_rejects_aliasing_dft_length(scenario_path, tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Network primitives: gradients, the optimizer, training, serialization."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from sparsebeam import mlp, scene
+
+from .oracles import oracle_train_steps
 
 
 def toy_dataset(n=64, n_features=9, n_out=5, seed=0):
@@ -227,6 +230,101 @@ def test_model_file_round_trip(tmp_path):
     bogus.write_bytes(b"XXXXXXXXXXXX")
     with pytest.raises(ValueError):
         mlp.load_model(bogus)
+
+
+def test_train_follows_float64_reference_steps(monkeypatch):
+    # the float32 steps must see the reference's shuffled rows and dropout
+    # masks exactly, and its losses up to float32 rounding
+    x, y = toy_dataset(n=40, seed=13)
+    cfg = mlp.TrainConfig(hidden_sizes=(24, 16), batch_size=8, max_epochs=4,
+                          patience=4, validation_fraction=0.0, keep_prob=0.9,
+                          rng_seed=21)
+    seen = []
+    step = mlp.mse_loss_and_grads
+
+    def record(model, xb, yb, **kw):
+        loss, grads = step(model, xb, yb, **kw)
+        masks = [m[:len(xb)] > 0 for m in kw["workspace"].masks]
+        seen.append((xb.copy(), masks, loss))
+        return loss, grads
+
+    monkeypatch.setattr(mlp, "mse_loss_and_grads", record)
+    mlp.train(x, y, cfg)
+    ref = oracle_train_steps(x, y, cfg.hidden_sizes, 21, 8, 0.9,
+                             cfg.learning_rate, 20)
+    assert len(seen) == len(ref) == 20
+    tol = 64 * np.finfo(np.float32).eps
+    for (rows, masks, loss), (ref_rows, ref_masks, ref_loss) in zip(seen, ref):
+        assert rows.dtype == np.float32
+        assert np.array_equal(rows, ref_rows.astype(np.float32))
+        assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
+        assert abs(loss - ref_loss) <= tol * abs(ref_loss)
+
+
+def test_trained_weights_are_float32_values_in_float64():
+    x, y = toy_dataset(n=30, seed=14)
+    cfg = mlp.TrainConfig(hidden_sizes=(12,), max_epochs=3, patience=3,
+                          validation_fraction=0.2, rng_seed=8)
+    model = mlp.train(x, y, cfg).model
+    for arr in model.weights + model.biases:
+        assert arr.dtype == np.float64
+        assert np.array_equal(arr.astype(np.float32).astype(np.float64), arr)
+    assert model.feature_mean.dtype == np.float64
+
+
+def test_float32_trained_models_round_trip_bit_exact(tmp_path):
+    rng = np.random.default_rng(17)
+    for trial in range(6):
+        n_members = (1, 5)[trial % 2]
+        n_feat, n_out = int(rng.integers(3, 10)), int(rng.integers(2, 7))
+        hidden = tuple(int(h) for h in rng.integers(2, 12, size=trial % 3 + 1))
+        x, y = toy_dataset(n=24, n_features=n_feat, n_out=n_out, seed=trial)
+        cfg = mlp.TrainConfig(hidden_sizes=hidden, max_epochs=3, patience=3,
+                              batch_size=int(rng.integers(3, 12)),
+                              validation_fraction=0.2, rng_seed=trial,
+                              standardize_features=bool(trial % 3),
+                              normalize_power=trial < 3)
+        if n_members == 1:
+            model = mlp.train(x, y, cfg).model
+        else:
+            model = mlp.train_ensemble(x, y, cfg, n_members=n_members).model
+        path = tmp_path / f"model{trial}.bin"
+        mlp.save_model(path, model)
+        back = mlp.load_model(path)
+        probe = rng.normal(1.0, 0.5, size=(11, n_feat))
+        assert type(back) is type(model)
+        assert np.array_equal(mlp.forward(back, probe), mlp.forward(model, probe))
+
+
+def test_loads_float64_ensemble_file(tmp_path):
+    # an MLPE file written straight from the documented layout, holding
+    # float64 values no float32 can represent, must load bit for bit
+    rng = np.random.default_rng(18)
+    sizes = [5, 4, 3]
+    members = []
+    blob = b"MLPE" + struct.pack("<I", 2)
+    for _ in range(2):
+        arrays = [rng.normal(size=(5, 4)), rng.normal(size=4),
+                  rng.normal(size=(4, 3)), rng.normal(size=3),
+                  rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)]
+        blob += struct.pack("<II3IB", 1, 3, *sizes, 3)
+        blob += b"".join(a.astype("<f8").tobytes() for a in arrays)
+        members.append(arrays)
+    path = tmp_path / "float64.bin"
+    path.write_bytes(blob)
+    back = mlp.load_model(path)
+    mlp.save_model(tmp_path / "again.bin", back)
+    assert (tmp_path / "again.bin").read_bytes() == blob
+    assert isinstance(back, mlp.EnsembleModel) and back.n_members == 2
+    for net, arrays in zip(back.members, members):
+        got = [net.weights[0], net.biases[0], net.weights[1], net.biases[1],
+               net.feature_mean, net.feature_scale]
+        assert all(np.array_equal(a, b) for a, b in zip(got, arrays))
+        assert net.normalize_power
+        assert np.any(arrays[0] != arrays[0].astype(np.float32))
+    x = rng.normal(size=(7, 5))
+    expect = np.mean([mlp.forward(m, x) for m in back.members], axis=0)
+    assert np.array_equal(mlp.forward(back, x), expect)
 
 
 def test_split_train_validation_is_stratified_and_disjoint():
