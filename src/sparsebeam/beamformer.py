@@ -5,6 +5,13 @@ up to scale, to that of R_sn^-1 R_s). For a rank-1 source matrix this is the
 Capon direction R_xx^-1 s, computed by a Cholesky solve; a generalized
 eigensolver handles higher-rank source matrices. Weights are normalized so
 w^H R_s w = 1 with the first nonzero entry real-positive.
+
+Subset scoring, the inner loop of every selector, never forms a P x P
+matrix for an exact scene: subset_sinr_batch works in interferer space, with
+one real matmul of the 0/1 masks against a per-scene table (scene_terms) and
+an (L+1) x (L+1) LDL^H factorization per subset, vectorized over subsets.
+Sample covariances have no such structure; capon_quadratic_batch solves
+their P x P systems.
 """
 
 from __future__ import annotations
@@ -15,7 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import scene
+
 COND_LIMIT = 1e12
+# two scores within this relative band count as tied: a configuration and its
+# mirror image score the same in exact arithmetic but not in floats
+REL_TIE_TOL = 1e-12
 # rank-1 test for PSD matrices: frobenius norm equals trace iff rank <= 1
 _RANK1_REL_TOL = 1e-9
 _DENOM_FLOOR = 1e-15
@@ -160,33 +172,92 @@ def output_sinr(w: np.ndarray, r_s: np.ndarray, r_sn: np.ndarray) -> Sinr:
 
 # --- fast batched scoring ---------------------------------------------------
 #
-# For a rank-1 source matrix sigma^2 s s^H, the optimum SINR of subarray J is
-# the closed form sigma^2 * s_J^H (R_sn,J)^-1 s_J. Stacking subsets gives one
-# batched solve, which is what the enumeration oracle, the SBSA multi-start
-# ranking, and the harness re-scorer all share (so dominance audits compare
-# identical floats).
+# For a rank-1 source matrix sigma_d^2 s s^H, the optimum SINR of subarray J is
+# the closed form sigma_d^2 * s_J^H (R_sn,J)^-1 s_J. An exact scene has
+# R_sn = sigma^2 I + A diag(p) A^H with a few interferers (the columns of A),
+# so by the matrix inversion lemma
+#     s_J^H R_J^-1 s_J = (|s_J|^2 - b_J^H (sigma^2 diag(p)^-1 + G_J)^-1 b_J) / sigma^2
+# with G_J = A_J^H A_J and b_J = A_J^H s_J: an L x L problem per subset, not a
+# P x P one. G_J, b_J and |s_J|^2 are sums over the selected sensors, so one
+# real matmul of the 0/1 masks against a per-scene table gives them for every
+# subset at once. The enumeration oracle, the SBSA multi-start ranking and the
+# evaluation re-scorer all use this one scorer.
 
 
-def subset_sinr_batch(r_sn: np.ndarray, steer: np.ndarray, source_power: float,
-                      subsets: np.ndarray) -> np.ndarray:
-    """Optimum linear SINR for each index subset (rows of `subsets`)."""
+@dataclass(frozen=True)
+class SceneTerms:
+    """Per-sensor terms of an exact scene, the input of subset_sinr_batch.
+
+    With u = (a_1, ..., a_L, s), interferer steering vectors then the desired
+    one, column c of the complex table holds conj(u_i[n]) * u_j[n] for the
+    c-th pair i >= j in row-major lower-triangle order; `table` is that
+    (N, W) complex array viewed as (N, 2W) floats (real and imaginary parts
+    interleaved). `ridge` is noise_power / p_l per interferer.
+    """
+
+    table: np.ndarray
+    ridge: np.ndarray
+    noise_power: float
+    source_power: float
+
+
+def scene_terms(geom, scn) -> SceneTerms:
+    u = np.stack([scene.steering_vector(geom, src.doa_deg) for src in scn.interferers]
+                 + [scene.steering_vector(geom, scn.desired.doa_deg)])
+    i, j = np.tril_indices(len(u))
+    table = np.ascontiguousarray((u[i].conj() * u[j]).T).view(np.float64)
+    return SceneTerms(
+        table=table,
+        ridge=np.array([scn.noise_power / src.power for src in scn.interferers]),
+        noise_power=scn.noise_power,
+        source_power=scn.desired.power,
+    )
+
+
+def subset_sinr_batch(terms: SceneTerms, masks) -> np.ndarray:
+    """Optimum linear SINR of each 0/1 mask row of an exact scene.
+
+    The masks times the table give, per subset, the Gram matrix H of u on the
+    selected sensors. With the ridge added to its first L diagonal entries it
+    is [[sigma^2 diag(p)^-1 + G_J, b_J], [b_J^H, |s_J|^2]], and the last pivot
+    of its LDL^H factorization, computed for all rows at once, is the Schur
+    complement |s_J|^2 - b_J^H (sigma^2 diag(p)^-1 + G_J)^-1 b_J.
+    """
+    h = (np.asarray(masks, dtype=float) @ terms.table).view(complex)
+    size = len(terms.ridge) + 1
+    scaled, unit, pivots = {}, {}, []   # L_ij * d_j, L_ij and d_i of H = L D L^H
+    col = 0
+    for i in range(size):
+        for j in range(i):
+            v = h[:, col]
+            for k in range(j):
+                v = v - scaled[i, k] * unit[j, k].conj()
+            scaled[i, j] = v
+            unit[i, j] = v / pivots[j]
+            col += 1
+        d = h[:, col].real + (terms.ridge[i] if i < size - 1 else 0.0)
+        for k in range(i):
+            d = d - (scaled[i, k] * unit[i, k].conj()).real
+        pivots.append(d)
+        col += 1
+    return (terms.source_power / terms.noise_power) * pivots[-1]
+
+
+def capon_quadratic_batch(r: np.ndarray, steer: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """s_J^H (R_J)^-1 s_J for each index subset (rows of `subsets`) of any
+    covariance `r`, one P x P solve per subset; sample covariances have no
+    interferer structure for subset_sinr_batch to use."""
     subsets = np.asarray(subsets, dtype=np.intp)
-    sub = r_sn[subsets[:, :, None], subsets[:, None, :]]
+    sub = r[subsets[:, :, None], subsets[:, None, :]]
     sv = steer[subsets]
     x = np.linalg.solve(sub, sv[..., None])[..., 0]
-    quad = np.einsum("ij,ij->i", sv.conj(), x).real
-    return source_power * quad
+    return np.einsum("ij,ij->i", sv.conj(), x).real
 
 
 def masks_sinr(geom, scn, masks) -> np.ndarray:
-    """Optimum linear SINR for each 0/1 mask row, exact matrices."""
-    from . import scene  # local import to avoid cycle at module load
-
+    """Optimum linear SINR for each 0/1 mask row, exact scene."""
     masks = np.atleast_2d(np.asarray(masks, dtype=int))
     p = int(masks[0].sum())
     if not np.all(masks.sum(axis=1) == p):
         raise ValueError("all masks must share one cardinality")
-    subsets = np.array([np.flatnonzero(m) for m in masks], dtype=np.intp)
-    _, r_sn, _ = scene.correlation_matrices(geom, scn)
-    steer = scene.steering_vector(geom, scn.desired.doa_deg)
-    return subset_sinr_batch(r_sn, steer, scn.desired.power, subsets)
+    return subset_sinr_batch(scene_terms(geom, scn), masks)

@@ -94,8 +94,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    examples = mlp.read_dataset_csv(args.dataset)
-    x, y, sids = mlp.dataset_arrays(examples)
+    x, y, sids = mlp.read_dataset_csv(args.dataset)
     hidden = tuple(int(s) for s in args.hidden.split(",") if s.strip())
     cfg = mlp.TrainConfig(
         hidden_sizes=hidden,
@@ -126,7 +125,7 @@ def cmd_train(args) -> int:
           f"final train loss {results[-1].train_losses[-1]:.6g})")
     _write_manifest(args.out_dir, "train", {
         "dataset": args.dataset,
-        "n_examples": len(examples),
+        "n_examples": len(sids),
         "train_config": {
             "hidden_sizes": list(cfg.hidden_sizes),
             "learning_rate": cfg.learning_rate,
@@ -169,7 +168,7 @@ def cmd_eval(args) -> int:
             methods.append(name)
     nnc_index = None
     if args.train_dataset:
-        x, y, _ = mlp.dataset_arrays(mlp.read_dataset_csv(args.train_dataset))
+        x, y, _ = mlp.read_dataset_csv(args.train_dataset)
         nnc_index = nnc.NncIndex(x, y.astype(int), metric=args.nnc_metric)
         if "nnc" not in methods:
             methods.append("nnc")
@@ -387,7 +386,7 @@ def main(argv=None) -> int:
     except enumeration.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, mlp.TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,26 +1,27 @@
 """Exhaustive search over all P-of-N configurations: the trusted oracle.
 
 Subsets are visited in lexicographic order of their sorted index tuples, and
-that order defines the stable rank_id used in files. Evaluation is chunked
-batched linear algebra; the reduction keeps the first configuration within a
-1e-12 relative tie band, so the argmax is the lexicographically smallest
-optimal subset and is independent of chunking.
+that order defines the stable rank_id used in files. Each scene is scored by
+beamformer.subset_sinr_batch over blocks of 0/1 masks (one cached table per
+(N, P) when all subsets fit in one block); the reduction keeps the first
+configuration within a 1e-12 relative tie band, so the argmax is the
+lexicographically smallest optimal subset and is independent of chunking.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import beamformer, scene
-from .beamformer import Sinr, mask_bits, mask_from_indices
+from . import beamformer
+from .beamformer import REL_TIE_TOL, Sinr, mask_bits, mask_from_indices
 
 DEFAULT_BUDGET = 10_000_000
-REL_TIE_TOL = 1e-12
 _CHUNK = 1 << 16
 
 
@@ -76,20 +77,6 @@ def subset_unrank(rank: int, n: int, p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _first_near_max(vals: np.ndarray) -> int:
-    """First index whose value sits in the relative tie band of the maximum.
-
-    A configuration and its grid-reversed mirror achieve identical SINR in
-    exact arithmetic but differ by ~1e-14 in floats; a bare argmax would pick
-    a side at random. Values are positive.
-    """
-    return int(np.argmax(vals >= vals.max() / (1.0 + REL_TIE_TOL)))
-
-
-def _first_near_min(vals: np.ndarray) -> int:
-    return int(np.argmax(vals <= vals.min() * (1.0 + REL_TIE_TOL)))
-
-
 def _check_budget(n: int, p: int, budget: int) -> int:
     if not 1 <= p <= n:
         raise ValueError(f"P must satisfy 1 <= P <= N, got P={p}, N={n}")
@@ -99,71 +86,77 @@ def _check_budget(n: int, p: int, budget: int) -> int:
     return count
 
 
-def _iter_subset_chunks(n: int, p: int, chunk: int = _CHUNK):
-    """Yield (start_rank, (m, p) index array) chunks in lexicographic order."""
+def _index_masks(subsets: np.ndarray, n: int) -> np.ndarray:
+    masks = np.zeros((len(subsets), n))
+    np.put_along_axis(masks, subsets, 1.0, axis=1)
+    return masks
+
+
+@functools.lru_cache(maxsize=4)
+def _subset_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every P-subset of range(n) as read-only (C, P) indices and (C, N) float masks."""
+    subsets = np.array(list(itertools.combinations(range(n), p)), dtype=np.intp)
+    masks = _index_masks(subsets, n)
+    subsets.flags.writeable = masks.flags.writeable = False
+    return subsets, masks
+
+
+def _subset_chunks(n: int, p: int):
+    """Yield (start_rank, indices, float masks) blocks of at most _CHUNK
+    subsets in lexicographic order. An enumeration that fits in one block
+    comes from the cached table; a bigger one is streamed."""
+    if math.comb(n, p) <= _CHUNK:
+        yield 0, *_subset_table(n, p)
+        return
     it = itertools.combinations(range(n), p)
     start = 0
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield start, np.array(block, dtype=np.intp)
+    while block := list(itertools.islice(it, _CHUNK)):
+        subsets = np.array(block, dtype=np.intp)
+        yield start, subsets, _index_masks(subsets, n)
         start += len(block)
 
 
-def _all_subset_sinrs(geom, scn, p: int) -> np.ndarray:
-    _, r_sn, _ = scene.correlation_matrices(geom, scn)
-    steer = scene.steering_vector(geom, scn.desired.doa_deg)
-    out = np.empty(math.comb(geom.n_grid, p))
-    for start, subsets in _iter_subset_chunks(geom.n_grid, p):
-        out[start:start + len(subsets)] = beamformer.subset_sinr_batch(
-            r_sn, steer, scn.desired.power, subsets
-        )
-    return out
+def scan_subsets(n: int, p: int, score, worst: bool = False,
+                 budget: int = DEFAULT_BUDGET) -> tuple[int, np.ndarray, float]:
+    """(rank, 0/1 mask, score) of the subset with the highest score, or the
+    lowest with `worst`; `score(indices, masks)` rates one chunk.
+
+    A configuration and its grid-reversed mirror score the same in exact
+    arithmetic but differ by ~1e-14 in floats, so the first subset in
+    lexicographic order within the relative tie band of the extreme wins,
+    whatever the chunking.
+    """
+    _check_budget(n, p, budget)
+    kept = None
+    for start, subsets, masks in _subset_chunks(n, p):
+        vals = score(subsets, masks)
+        if worst:
+            k = int(np.argmax(vals <= vals.min() * (1.0 + REL_TIE_TOL)))
+            wins = kept is None or vals[k] < kept[2] * (1.0 - REL_TIE_TOL)
+        else:
+            k = int(np.argmax(vals >= vals.max() / (1.0 + REL_TIE_TOL)))
+            wins = kept is None or vals[k] > kept[2] * (1.0 + REL_TIE_TOL)
+        if wins:
+            kept = (start + k, masks[k].astype(int), float(vals[k]))
+    return kept
+
+
+def _scan_scene(geom, scn, p: int, worst: bool, budget: int) -> RankedConfiguration:
+    terms = beamformer.scene_terms(geom, scn)
+    rank, mask, val = scan_subsets(
+        geom.n_grid, p, lambda _, masks: beamformer.subset_sinr_batch(terms, masks),
+        worst=worst, budget=budget)
+    return RankedConfiguration(rank_id=rank, mask=mask, sinr=Sinr(val))
 
 
 def enumerate_best(geom, scn, p: int, budget: int = DEFAULT_BUDGET) -> RankedConfiguration:
     """Globally MaxSINR configuration; ties go to the smallest index tuple."""
-    _check_budget(geom.n_grid, p, budget)
-    _, r_sn, _ = scene.correlation_matrices(geom, scn)
-    steer = scene.steering_vector(geom, scn.desired.doa_deg)
-    best_val = -np.inf
-    best_rank = -1
-    best_subset = None
-    for start, subsets in _iter_subset_chunks(geom.n_grid, p):
-        vals = beamformer.subset_sinr_batch(r_sn, steer, scn.desired.power, subsets)
-        k = _first_near_max(vals)
-        if vals[k] > best_val * (1.0 + REL_TIE_TOL):
-            best_val = vals[k]
-            best_rank = start + k
-            best_subset = subsets[k]
-    return RankedConfiguration(
-        rank_id=best_rank,
-        mask=mask_from_indices(best_subset, geom.n_grid),
-        sinr=Sinr(float(best_val)),
-    )
+    return _scan_scene(geom, scn, p, False, budget)
 
 
 def enumerate_worst(geom, scn, p: int, budget: int = DEFAULT_BUDGET) -> RankedConfiguration:
     """Globally minimum-SINR configuration (the worst-case baseline)."""
-    _check_budget(geom.n_grid, p, budget)
-    _, r_sn, _ = scene.correlation_matrices(geom, scn)
-    steer = scene.steering_vector(geom, scn.desired.doa_deg)
-    worst_val = np.inf
-    worst_rank = -1
-    worst_subset = None
-    for start, subsets in _iter_subset_chunks(geom.n_grid, p):
-        vals = beamformer.subset_sinr_batch(r_sn, steer, scn.desired.power, subsets)
-        k = _first_near_min(vals)
-        if vals[k] < worst_val * (1.0 - REL_TIE_TOL):
-            worst_val = vals[k]
-            worst_rank = start + k
-            worst_subset = subsets[k]
-    return RankedConfiguration(
-        rank_id=worst_rank,
-        mask=mask_from_indices(worst_subset, geom.n_grid),
-        sinr=Sinr(float(worst_val)),
-    )
+    return _scan_scene(geom, scn, p, True, budget)
 
 
 def enumerate_all_ranked(geom, scn, p: int, with_objective: bool = False,
@@ -176,22 +169,19 @@ def enumerate_all_ranked(geom, scn, p: int, with_objective: bool = False,
     sort is descending by SINR. Ties keep lexicographic subset order.
     """
     count = _check_budget(geom.n_grid, p, budget)
-    sinrs = _all_subset_sinrs(geom, scn, p)
-    ranks = np.arange(count)
-
-    omegas = None
     if with_objective:
         from . import sbsa
 
         k = dft_length if dft_length is not None else sbsa.default_dft_length(geom.n_grid)
-        omegas = np.empty(count)
-        for start, subsets in _iter_subset_chunks(geom.n_grid, p):
-            masks = np.zeros((len(subsets), geom.n_grid), dtype=int)
-            np.put_along_axis(masks, subsets, 1, axis=1)
-            omegas[start:start + len(subsets)] = sbsa.omega_batch(masks, geom, scn, k)
-        order = np.lexsort((ranks, omegas))
-    else:
-        order = np.lexsort((ranks, -sinrs))
+    terms = beamformer.scene_terms(geom, scn)
+    sinrs = np.empty(count)
+    omegas = np.empty(count) if with_objective else None
+    for start, _, masks in _subset_chunks(geom.n_grid, p):
+        sinrs[start:start + len(masks)] = beamformer.subset_sinr_batch(terms, masks)
+        if with_objective:
+            omegas[start:start + len(masks)] = sbsa.omega_batch(masks, geom, scn, k)
+    ranks = np.arange(count)
+    order = np.lexsort((ranks, omegas if with_objective else -sinrs))
 
     out = []
     for idx in order:

@@ -386,8 +386,12 @@ def split_train_validation(n: int, validation_fraction: float, rng,
     return train_idx, val_idx
 
 
+# a diverging fit overflows on its way to the non-finite loss that ends it
+# with TrainingDivergedError; numpy's warnings about it would only be noise
+@np.errstate(over="ignore", invalid="ignore")
 def train(features, labels, cfg: TrainConfig | None = None,
-          scenario_ids=None, initial_model: MlpModel | None = None) -> TrainResult:
+          scenario_ids=None, initial_model: MlpModel | None = None,
+          split=None) -> TrainResult:
     """Fit the selection network; early-stops on validation loss.
 
     features: (B, 2N-1) raw lag features; labels: (B, N) 0/1 masks. Keeps the
@@ -403,7 +407,9 @@ def train(features, labels, cfg: TrainConfig | None = None,
 
     initial_model warm-starts from an existing model instead of a fresh
     Xavier init; its standardization stats are kept so the feature space
-    stays consistent across phases.
+    stays consistent across phases. split is a precomputed (train_idx,
+    val_idx) pair; it must be the split_train_validation result for
+    cfg.split_seed, which an ensemble computes once for all its members.
     """
     t0 = time.perf_counter()
     cfg = cfg or TrainConfig()
@@ -414,9 +420,11 @@ def train(features, labels, cfg: TrainConfig | None = None,
     sizes = [x.shape[1], *cfg.hidden_sizes, y.shape[1]]
 
     rng = np.random.default_rng(cfg.rng_seed)
-    split_rng = rng if cfg.split_seed is None else np.random.default_rng(cfg.split_seed)
-    train_idx, val_idx = split_train_validation(
-        x.shape[0], cfg.validation_fraction, split_rng, scenario_ids)
+    if split is None:
+        split_rng = rng if cfg.split_seed is None else np.random.default_rng(cfg.split_seed)
+        split = split_train_validation(
+            x.shape[0], cfg.validation_fraction, split_rng, scenario_ids)
+    train_idx, val_idx = split
     x_tr, y_tr = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
 
@@ -526,10 +534,13 @@ def train_ensemble(features, labels, cfg: TrainConfig | None = None,
         raise ValueError("n_members must be >= 1")
     cfg = cfg or TrainConfig()
     split_seed = cfg.split_seed if cfg.split_seed is not None else cfg.rng_seed
+    split = split_train_validation(len(features), cfg.validation_fraction,
+                                   np.random.default_rng(split_seed), scenario_ids)
     members = []
     for i in range(n_members):
         member_cfg = replace(cfg, rng_seed=cfg.rng_seed + i, split_seed=split_seed)
-        members.append(train(features, labels, member_cfg, scenario_ids=scenario_ids))
+        members.append(train(features, labels, member_cfg, scenario_ids=scenario_ids,
+                             split=split))
     return EnsembleResult(model=EnsembleModel([r.model for r in members]),
                           members=members)
 
@@ -691,15 +702,15 @@ def write_dataset_csv(path, examples) -> None:
             writer.writerow(row)
 
 
-def read_dataset_csv(path) -> list[LabeledExample]:
-    """Rows of a write_dataset_csv file, each checked before use.
+def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """(features, labels, scenario_ids) of a write_dataset_csv file, checked.
 
     With 2N-1 feature columns in the header, every row must hold a numeric
-    look_doa_deg, that many finite features and a label of exactly N characters, each 0 or 1, with
-    the same number of ones on every row; a row that breaks this is a
-    ValueError naming its line.
+    look_doa_deg, that many finite features and a label of exactly N
+    characters, each 0 or 1, with the same number of ones on every row; a row
+    that breaks this is a ValueError naming its line. Labels come back as a
+    float (rows, N) array.
     """
-    examples = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -710,16 +721,16 @@ def read_dataset_csv(path) -> list[LabeledExample]:
             raise ValueError("unrecognized dataset header")
         n = (n_feat + 1) // 2
         weight = None
+        numbers, labels, ids = [], [], []
         for row in reader:
             where = f"{path} line {reader.line_num}"
             if len(row) != n_feat + 3:
                 raise ValueError(f"{where}: {len(row)} fields, expected {n_feat + 3}")
             try:
-                look = float(row[1])
-                feats = [float(v) for v in row[2:2 + n_feat]]
+                values = [float(v) for v in row[1:-1]]
             except ValueError:
                 raise ValueError(f"{where}: non-numeric field") from None
-            if not all(map(math.isfinite, feats)):
+            if not all(map(math.isfinite, values[1:])):
                 raise ValueError(f"{where}: non-finite feature")
             bits = row[-1]
             if len(bits) != n or set(bits) - {"0", "1"}:
@@ -729,16 +740,10 @@ def read_dataset_csv(path) -> list[LabeledExample]:
             elif bits.count("1") != weight:
                 raise ValueError(f"{where}: label {bits!r} selects "
                                  f"{bits.count('1')} sensors, earlier rows {weight}")
-            examples.append(LabeledExample(
-                scenario_id=row[0], look_doa_deg=look,
-                features=np.array(feats),
-                label_mask=np.array([int(c) for c in bits], dtype=int)))
-    return examples
-
-
-def dataset_arrays(examples):
-    """(features, labels, scenario_ids) stacked from labeled examples."""
-    x = np.stack([ex.features for ex in examples])
-    y = np.stack([ex.label_mask for ex in examples]).astype(float)
-    sids = [ex.scenario_id for ex in examples]
-    return x, y, sids
+            numbers.append(values)
+            labels.append(bits)
+            ids.append(row[0])
+    if not ids:
+        raise ValueError(f"{path}: no data rows")
+    y = np.frombuffer("".join(labels).encode(), dtype=np.uint8).reshape(len(ids), n) - ord("0")
+    return np.array(numbers)[:, 1:], y.astype(float), ids

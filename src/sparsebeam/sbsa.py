@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beamformer, scene
-from .beamformer import Sinr, validate_mask
-
-_REL_TIE_TOL = 1e-12
+from .beamformer import REL_TIE_TOL, Sinr, validate_mask
 
 
 def next_pow2(n: int) -> int:
@@ -189,19 +187,16 @@ def sbsa_select(geom, scn, p: int, cfg: SbsaConfig | None = None) -> SbsaResult:
         # tie band: mirror-symmetric candidates produce equal objectives up
         # to rounding; take the lowest grid index among near-ties
         floor = vals.min(axis=1, keepdims=True)
-        j = np.argmax(vals <= floor + _REL_TIE_TOL * np.maximum(np.abs(floor), 1.0), axis=1)
+        j = np.argmax(vals <= floor + REL_TIE_TOL * np.maximum(np.abs(floor), 1.0), axis=1)
         picks[:, step] = cand[rows, j]
         objs[:, step] = vals[rows, j]
         chosen[rows, picks[:, step]] = True
 
-    r_s, r_sn, r_xx = scene.correlation_matrices(geom, scn)
-    steer = scene.steering_vector(geom, scn.desired.doa_deg)
-    subsets = np.nonzero(chosen)[1].reshape(n_s, p)
-    sinrs = beamformer.subset_sinr_batch(r_sn, steer, scn.desired.power, subsets)
+    sinrs = beamformer.subset_sinr_batch(beamformer.scene_terms(geom, scn), chosen)
 
     best = 0
     for si in range(1, n_s):
-        if sinrs[si] > sinrs[best] * (1.0 + _REL_TIE_TOL):
+        if sinrs[si] > sinrs[best] * (1.0 + REL_TIE_TOL):
             best = si
 
     traces = [
@@ -210,5 +205,6 @@ def sbsa_select(geom, scn, p: int, cfg: SbsaConfig | None = None) -> SbsaResult:
         for si in range(n_s)
     ]
     best_mask = traces[best].mask
+    r_s, _, r_xx = scene.correlation_matrices(geom, scn)
     weights = beamformer.max_sinr_weights(r_s, r_xx, mask=best_mask)
     return SbsaResult(mask=best_mask, weights=weights, sinr=traces[best].sinr, starts=traces)

@@ -38,6 +38,21 @@ def oracle_subset_sinr(r_s, r_sn, indices):
     return float(vals[-1])
 
 
+def oracle_dense_subset_sinr(n, spacing, desired_doa, desired_power,
+                             interferer_doas, interferer_powers, noise_power, masks):
+    """Max SINR of each 0/1 mask row: sigma_d^2 s_J^H (R_sn,J)^-1 s_J, one
+    P x P solve per subset."""
+    s = oracle_steering(n, spacing, desired_doa)
+    _, r_sn = oracle_covariances(n, spacing, desired_doa, desired_power,
+                                 interferer_doas, interferer_powers, noise_power)
+    out = []
+    for mask in np.atleast_2d(masks):
+        idx = np.flatnonzero(mask)
+        x = np.linalg.solve(r_sn[np.ix_(idx, idx)], s[idx])
+        out.append(desired_power * float(np.vdot(s[idx], x).real))
+    return np.array(out)
+
+
 def oracle_best_subset(r_s, r_sn, p):
     """Exhaustive search; ties resolve to the first subset in sorted order."""
     combos = list(itertools.combinations(range(r_s.shape[0]), p))

@@ -5,6 +5,8 @@ import pytest
 
 from sparsebeam import beamformer, scene
 
+from .oracles import oracle_dense_subset_sinr
+
 
 def build(l_count=2, seed=0, n_grid=10, desired=60.0):
     rng = np.random.default_rng(seed)
@@ -109,13 +111,11 @@ def test_sinr_dataclass_db_conversion():
 def test_subset_batch_matches_weight_route():
     geom, scn = build(l_count=3, seed=8, n_grid=12)
     r_s, r_sn, r_xx = scene.correlation_matrices(geom, scn)
-    steer = scene.steering_vector(geom, scn.desired.doa_deg)
     rng = np.random.default_rng(9)
-    subsets = np.array([np.sort(rng.choice(12, size=5, replace=False))
-                        for _ in range(40)])
-    batch = beamformer.subset_sinr_batch(r_sn, steer, scn.desired.power, subsets)
-    for row, val in zip(subsets, batch):
-        mask = beamformer.mask_from_indices(row, geom.n_grid)
+    masks = np.array([beamformer.mask_from_indices(rng.choice(12, size=5, replace=False), 12)
+                      for _ in range(40)])
+    batch = beamformer.subset_sinr_batch(beamformer.scene_terms(geom, scn), masks)
+    for mask, val in zip(masks, batch):
         w = beamformer.max_sinr_weights(r_s, r_xx, mask=mask)
         ref = beamformer.output_sinr(w, r_s, r_sn).linear
         assert val == pytest.approx(ref, rel=1e-9)
@@ -129,11 +129,50 @@ def test_masks_sinr_wrapper_agrees_with_batch():
         beamformer.mask_from_bits("000011011"),
     ])
     vals = beamformer.masks_sinr(geom, scn, masks)
-    _, r_sn, _ = scene.correlation_matrices(geom, scn)
-    steer = scene.steering_vector(geom, scn.desired.doa_deg)
-    subsets = np.array([np.flatnonzero(m) for m in masks])
-    ref = beamformer.subset_sinr_batch(r_sn, steer, scn.desired.power, subsets)
+    ref = beamformer.subset_sinr_batch(beamformer.scene_terms(geom, scn), masks)
     assert np.array_equal(vals, ref)
+
+
+def test_subset_scorer_matches_dense_solve():
+    # interferer-space scorer against one P x P solve per subset, for every
+    # interferer count the scenes use and none at all
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for n in (8, 12, 16, 20):
+        geom = scene.ArrayGeometry(n_grid=n)
+        for l_count in range(5):
+            for _ in range(3):
+                desired = float(rng.uniform(20.0, 160.0))
+                doas = [float(d) for d in rng.uniform(10.0, 170.0, size=l_count)]
+                powers = [float(10.0 ** (db / 10.0)) for db in rng.uniform(10.0, 20.0, l_count)]
+                p = int(rng.integers(1, n))
+                masks = np.zeros((50, n), dtype=int)
+                for row in masks:
+                    row[rng.choice(n, size=p, replace=False)] = 1
+                scn = scene.Scenario(
+                    desired=scene.SourceSpec(desired, 2.0),
+                    interferers=tuple(scene.SourceSpec(d, pw) for d, pw in zip(doas, powers)),
+                    noise_power=0.5)
+                got = beamformer.subset_sinr_batch(beamformer.scene_terms(geom, scn), masks)
+                want = oracle_dense_subset_sinr(n, 0.5, desired, 2.0, doas, powers, 0.5, masks)
+                worst = max(worst, float(np.max(np.abs(got - want) / want)))
+    assert worst < 1e-12
+
+
+def test_mirrored_mask_scores_the_same():
+    # reversing the grid turns every steering vector into its conjugate times
+    # a unit phase, which leaves each subset's SINR unchanged
+    rng = np.random.default_rng(32)
+    for trial in range(30):
+        n = int(rng.integers(6, 17))
+        geom, scn = build(l_count=int(rng.integers(0, 5)), seed=100 + trial, n_grid=n)
+        p = int(rng.integers(1, n + 1))
+        masks = np.zeros((20, n), dtype=int)
+        for row in masks:
+            row[rng.choice(n, size=p, replace=False)] = 1
+        vals = beamformer.masks_sinr(geom, scn, masks)
+        mirrored = beamformer.masks_sinr(geom, scn, masks[:, ::-1])
+        assert np.allclose(mirrored, vals, rtol=1e-12, atol=0)
 
 
 def test_masks_sinr_requires_common_cardinality():

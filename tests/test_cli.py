@@ -255,6 +255,18 @@ def test_train_rejects_bad_dataset_rows(config_path, tmp_path, capsys, corrupt):
     assert not (tmp_path / "fit" / "model.bin").exists()
 
 
+def test_diverging_fit_exit_code_two(config_path, tmp_path, capsys):
+    data = tmp_path / "data"
+    cli.main(["gen-data", config_path, "--part", "train", "--out-dir", str(data)])
+    capsys.readouterr()
+    rc = cli.main(["train", str(data / "train.csv"), "--hidden", "8", "--epochs", "3",
+                   "--learning-rate", "1e38", "--out-dir", str(tmp_path / "fit")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite") and err.count("\n") == 1
+    assert not (tmp_path / "fit" / "model.bin").exists()
+
+
 def test_fig7_rejects_aliasing_dft_length(scenario_path, tmp_path, capsys):
     rc = cli.main(["fig7", scenario_path, "--n-grid", "16", "--n-select", "3",
                    "--dft-length", "8", "--out-dir", str(tmp_path)])

@@ -141,3 +141,56 @@ def test_ranked_csv_round_trip(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == ranked[0].rank_id
     assert float(first[2]) == ranked[0].sinr.db
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+def test_enumeration_is_independent_of_chunking(monkeypatch, chunk):
+    rng = np.random.default_rng(61)
+    cases = []
+    for _ in range(12):
+        n = int(rng.integers(5, 10))
+        p = int(rng.integers(1, n))
+        desired, doas, powers = random_oracle_case(rng, n)
+        cases.append((*scenario_from_case(desired, doas, powers, n), p))
+    # a symmetric scene: every subset ties with its mirror image
+    cases.append((scene.ArrayGeometry(n_grid=8), scene.Scenario(
+        desired=scene.SourceSpec(doa_deg=90.0),
+        interferers=(scene.SourceSpec(doa_deg=60.0, power=10.0),
+                     scene.SourceSpec(doa_deg=120.0, power=10.0))), 3))
+    want = [(enumeration.enumerate_best(g, s, p), enumeration.enumerate_worst(g, s, p))
+            for g, s, p in cases]
+    monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+    for (geom, scn, p), (best, worst) in zip(cases, want):
+        for got, ref in ((enumeration.enumerate_best(geom, scn, p), best),
+                         (enumeration.enumerate_worst(geom, scn, p), worst)):
+            assert got.rank_id == ref.rank_id
+            assert np.array_equal(got.mask, ref.mask)
+            assert got.sinr.linear == pytest.approx(ref.sinr.linear, rel=beamformer.REL_TIE_TOL)
+
+
+def test_masks_sinr_agrees_with_enumeration_table():
+    # one mask scored alone against the same mask scored in the full table:
+    # the matmul may sum them in another order, never outside the tie band
+    rng = np.random.default_rng(62)
+    for _ in range(10):
+        n = int(rng.integers(6, 13))
+        p = int(rng.integers(2, n))
+        desired, doas, powers = random_oracle_case(rng, n)
+        geom, scn = scenario_from_case(desired, doas, powers, n)
+        ranked = enumeration.enumerate_all_ranked(geom, scn, p)
+        for rc in ranked[:5] + ranked[-5:]:
+            alone = float(beamformer.masks_sinr(geom, scn, rc.mask)[0])
+            assert abs(alone - rc.sinr.linear) <= beamformer.REL_TIE_TOL * rc.sinr.linear
+        best = enumeration.enumerate_best(geom, scn, p)
+        assert best.sinr.linear >= ranked[0].sinr.linear / (1.0 + beamformer.REL_TIE_TOL)
+
+
+def test_subset_table_is_shared_and_read_only():
+    subsets, masks = enumeration._subset_table(7, 3)
+    assert enumeration._subset_table(7, 3)[1] is masks
+    assert subsets.shape == (math.comb(7, 3), 3) and masks.shape == (math.comb(7, 3), 7)
+    assert np.array_equal(np.flatnonzero(masks[0]), subsets[0])
+    with pytest.raises(ValueError):
+        masks[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        subsets[0, 0] = 1

@@ -169,8 +169,8 @@ def test_snapshot_robustness_pairs_streams():
 def test_evaluate_audits_and_summarizes(tmp_path):
     cfg = tiny_config(n_test_per_look=6)
     train = harness.generate_dataset(cfg, "train")
-    x, y, _ = mlp.dataset_arrays(train)
-    index = nnc.NncIndex(x, y.astype(int))
+    x = np.stack([ex.features for ex in train])
+    index = nnc.NncIndex(x, np.stack([ex.label_mask for ex in train]))
     model = mlp.init_model([2 * cfg.n_grid - 1, 10, cfg.n_grid], seed=1)
     methods = ["dnn", "sbsa", "nnc", "compact_ula", "sparse_ula", "random",
                "worst_case"]

@@ -351,13 +351,11 @@ def test_dataset_csv_round_trip(tmp_path):
             features=feats, label_mask=mask))
     path = tmp_path / "data.csv"
     mlp.write_dataset_csv(path, rows)
-    back = mlp.read_dataset_csv(path)
-    assert [b.scenario_id for b in back] == [r.scenario_id for r in rows]
-    for b, r in zip(back, rows):
-        assert np.array_equal(b.features, r.features)  # repr round trip
-        assert np.array_equal(b.label_mask, r.label_mask)
-    x, y, sids = mlp.dataset_arrays(back)
-    assert x.shape == (4, 9) and y.shape == (4, 5) and len(sids) == 4
+    x, y, sids = mlp.read_dataset_csv(path)
+    assert sids == [r.scenario_id for r in rows]
+    assert x.shape == (4, 9) and y.shape == (4, 5)
+    assert np.array_equal(x, [r.features for r in rows])  # repr round trip
+    assert np.array_equal(y, [r.label_mask for r in rows])
 
 
 def test_train_config_validation():
