@@ -292,9 +292,12 @@ def _add_scene_args(sp, default_budget=enumeration.DEFAULT_BUDGET):
     sp.add_argument("scenario", help="scenario JSON document")
     sp.add_argument("--n-grid", type=int, required=True, help="grid size N")
     sp.add_argument("--n-select", type=int, required=True, help="sensors to place P")
-    sp.add_argument("--dft-length", type=int, default=None)
+    sp.add_argument("--dft-length", type=int, default=None,
+                    help="DFT length K >= 2N-1 of the overlap objective; K only "
+                         "scales it (default 2 * next_pow2(N))")
     sp.add_argument("--budget", type=int, default=default_budget,
-                    help="max configurations to enumerate")
+                    help="max configurations to enumerate; on grids wider than "
+                         f"{enumeration.BUDGET_GRID} each counts N/{enumeration.BUDGET_GRID}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,10 @@
 Subsets are visited in lexicographic order of their sorted index tuples, and
 that order defines the stable rank_id used in files. Each scene is scored by
 beamformer.subset_sinr_batch over blocks of 0/1 masks (one cached table per
-(N, P) when all subsets fit in one block); the reduction keeps the first
+(N, P) when all subsets fit in one block, and at most _BLOCK_CELLS mask
+cells per block otherwise); the budget counts subsets, and on grids wider
+than BUDGET_GRID it charges each subset N / BUDGET_GRID, so it bounds the
+mask cells an enumeration touches as well. The reduction keeps the first
 configuration within a 1e-12 relative tie band, so the argmax is the
 lexicographically smallest optimal subset and is independent of chunking.
 """
@@ -19,16 +22,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import beamformer
-from .beamformer import REL_TIE_TOL, Sinr, mask_bits, mask_from_indices
+from .beamformer import REL_TIE_TOL, Sinr, mask_bits
 
 DEFAULT_BUDGET = 10_000_000
+# a subset on a grid wider than this costs N / BUDGET_GRID of the budget, so
+# the budget bounds the C(N,P) * N mask cells an enumeration touches
+BUDGET_GRID = 64
 _CHUNK = 1 << 16
+# mask cells per streamed block (16 MiB of float64): _CHUNK rows up to N = 32
+_BLOCK_CELLS = 1 << 21
 
 
 class BudgetExceededError(RuntimeError):
     def __init__(self, n: int, p: int, count: int, budget: int):
+        wide = f" of {n} sensors (each counted {n}/{BUDGET_GRID} times)" if n > BUDGET_GRID else ""
         super().__init__(
-            f"C({n},{p}) = {count} subsets exceeds the enumeration budget of {budget}"
+            f"C({n},{p}) = {count} subsets{wide} exceeds the enumeration budget of {budget}"
         )
         self.count = count
         self.budget = budget
@@ -59,20 +68,28 @@ def subset_rank(indices, n: int) -> int:
     return rank
 
 
+@functools.lru_cache(maxsize=8)
+def _pascal(n: int, p: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """C(n, p) and the binomials `subset_unrank` reads: rows[b][v] = C(n-1-v, b)."""
+    rows = tuple(tuple(math.comb(n - 1 - v, b) for v in range(n)) for b in range(p))
+    return math.comb(n, p), rows
+
+
 def subset_unrank(rank: int, n: int, p: int) -> tuple[int, ...]:
     """Sorted index tuple at `rank` in lexicographic subset order."""
-    if not 0 <= rank < math.comb(n, p):
+    count, rows = _pascal(n, p) if 0 <= p <= n else (0, ())
+    if not 0 <= rank < count:
         raise ValueError(f"rank {rank} out of range for C({n},{p})")
     out = []
     v = 0
-    remaining = p
-    while remaining > 0:
-        c = math.comb(n - 1 - v, remaining - 1)
-        if rank < c:
-            out.append(v)
-            remaining -= 1
-        else:
+    for left in range(p - 1, -1, -1):
+        # skip every first index v whose C(n-1-v, left) completions all rank
+        # below the target
+        row = rows[left]
+        while rank >= (c := row[v]):
             rank -= c
+            v += 1
+        out.append(v)
         v += 1
     return tuple(out)
 
@@ -81,7 +98,7 @@ def _check_budget(n: int, p: int, budget: int) -> int:
     if not 1 <= p <= n:
         raise ValueError(f"P must satisfy 1 <= P <= N, got P={p}, N={n}")
     count = math.comb(n, p)
-    if count > budget:
+    if count * max(n, BUDGET_GRID) > budget * BUDGET_GRID:
         raise BudgetExceededError(n, p, count, budget)
     return count
 
@@ -103,14 +120,16 @@ def _subset_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _subset_chunks(n: int, p: int):
     """Yield (start_rank, indices, float masks) blocks of at most _CHUNK
-    subsets in lexicographic order. An enumeration that fits in one block
-    comes from the cached table; a bigger one is streamed."""
-    if math.comb(n, p) <= _CHUNK:
+    subsets and _BLOCK_CELLS mask cells, in lexicographic order. An
+    enumeration that fits in one block comes from the cached table; a bigger
+    one is streamed."""
+    rows = max(1, min(_CHUNK, _BLOCK_CELLS // n))
+    if math.comb(n, p) <= rows:
         yield 0, *_subset_table(n, p)
         return
     it = itertools.combinations(range(n), p)
     start = 0
-    while block := list(itertools.islice(it, _CHUNK)):
+    while block := list(itertools.islice(it, rows)):
         subsets = np.array(block, dtype=np.intp)
         yield start, subsets, _index_masks(subsets, n)
         start += len(block)
@@ -180,19 +199,17 @@ def enumerate_all_ranked(geom, scn, p: int, with_objective: bool = False,
         sinrs[start:start + len(masks)] = beamformer.subset_sinr_batch(terms, masks)
         if with_objective:
             omegas[start:start + len(masks)] = sbsa.omega_batch(masks, geom, scn, k)
-    ranks = np.arange(count)
-    order = np.lexsort((ranks, omegas if with_objective else -sinrs))
+    # stable: equal keys keep ascending rank_id
+    order = np.argsort(omegas if with_objective else -sinrs, kind="stable")
 
-    out = []
-    for idx in order:
-        idx = int(idx)
-        out.append(RankedConfiguration(
-            rank_id=idx,
-            mask=mask_from_indices(subset_unrank(idx, geom.n_grid, p), geom.n_grid),
-            sinr=Sinr(float(sinrs[idx])),
-            objective=float(omegas[idx]) if omegas is not None else None,
-        ))
-    return out
+    n = geom.n_grid
+    rank_ids = order.tolist()
+    subsets = np.array([subset_unrank(r, n, p) for r in rank_ids], dtype=np.intp)
+    masks = np.zeros((count, n), dtype=int)
+    np.put_along_axis(masks, subsets, 1, axis=1)
+    objectives = omegas[order].tolist() if with_objective else [None] * count
+    return [RankedConfiguration(rank_id=r, mask=z, sinr=Sinr(s), objective=o)
+            for r, z, s, o in zip(rank_ids, masks, sinrs[order].tolist(), objectives)]
 
 
 def write_ranked_csv(path, ranked: list[RankedConfiguration]):

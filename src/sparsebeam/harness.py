@@ -607,6 +607,6 @@ def write_sweep_csv(path, sweep: OverlapSweep) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["position", "rank_id", "omega", "sinr_db"])
-        for i in range(len(sweep.omegas)):
-            w.writerow([i, int(sweep.rank_ids[i]),
-                        repr(float(sweep.omegas[i])), repr(float(sweep.sinr_db[i]))])
+        # csv writes a Python float as its repr, which round-trips exactly
+        w.writerows(zip(range(len(sweep.omegas)), sweep.rank_ids.tolist(),
+                        sweep.omegas.tolist(), sweep.sinr_db.tolist()))

@@ -6,14 +6,27 @@ bin-wise product of the two power spectra summed over DFT bins and
 interferers, weighted by the source powers. The spectrum of a masked signal
 z * v is the K-point DFT of its conjugate-symmetric deterministic
 autocorrelation, which for DFT length K >= 2N-1 (no lag aliasing) equals
-|DFT_K(z * v)|^2 (Wiener-Khinchin). The DFT is linear in the mask, so one
-per-scenario table T[n, s*K + f] = v_s[n] * exp(-2j*pi*n*f/K), desired
-source first and then each interferer, gives every source's DFT for a whole
-batch of 0/1 masks as `masks @ T`, computed as one real matmul against
-[T.real | T.imag]; the spectra are re^2 + im^2. Greedy selection adds one
-sensor at a time, minimizing the objective over the unselected grid
-locations; one pass is run per starting location and the configuration with
-the best output SINR wins.
+|DFT_K(z * v)|^2 (Wiener-Khinchin).
+
+On a uniform grid with unit-modulus steering vectors v[n] = exp(j*psi*n)
+that autocorrelation is c_d(z) * exp(j*psi*d), where c_d(z) is the mask's
+integer lag count (`selection_autocorrelation`). Parseval then turns the
+bin sum into a lag sum: for K >= 2N-1,
+
+    sum_f |DFT_K(z*v_s)|^2 |DFT_K(z*v_l)|^2
+        = K * sum_{|d|<N} c_d(z)^2 cos(d (psi_s - psi_l)),
+
+so the objective is the squared lag counts of a mask times a length-N
+per-scene weight vector, with no DFT at all. Two masks with equal lag counts
+(a mask, its mirror image and its translations on the grid) therefore get
+bit-identical objectives. K only scales the objective, so the greedy picks
+and the sweep order are the same for every K >= 2N-1 (up to rounding of
+the scaled values); the DFT length remains as that scale and as the check
+that the spectra do not alias.
+
+Greedy selection adds one sensor at a time, minimizing the objective over
+the unselected grid locations; one pass is run per starting location and
+the configuration with the best output SINR wins.
 """
 
 from __future__ import annotations
@@ -97,8 +110,31 @@ def signal_spectrum(vec, dft_length: int) -> np.ndarray:
     return np.abs(np.fft.fft(vec, dft_length)) ** 2
 
 
+def lag_counts(masks: np.ndarray) -> np.ndarray:
+    """Lag counts c_0..c_{N-1} of each 0/1 mask row (float, exact integers).
+
+    Row i equals the lags 0..N-1 half of `selection_autocorrelation(masks[i])`.
+    """
+    z = np.atleast_2d(np.asarray(masks, dtype=float))
+    n = z.shape[1]
+    counts = np.empty((z.shape[0], n))
+    for d in range(n):
+        counts[:, d] = np.einsum("ij,ij->i", z[:, d:], z[:, :n - d])
+    return counts
+
+
 def omega_batch(masks: np.ndarray, geom, scn, dft_length: int) -> np.ndarray:
-    """Spectral-overlap objective for each mask row (shared scenario)."""
+    """Spectral-overlap objective for each mask row (shared scenario).
+
+    Computed in the lag domain (see the module docstring), which assumes a
+    uniform grid and unit-modulus steering vectors:
+    K * p_s * sum_d c_d(z)^2 * w_d with w_0 = sum_l p_l and
+    w_d = 2 * sum_l p_l * cos(d * (psi_s - psi_l)) for d >= 1, psi being
+    each source's `scene.phase_step`. The result equals the K-bin spectral
+    product for every K >= 2N-1, in which K is only a factor, and depends on
+    a mask only through its lag counts, so mirrored and translated masks
+    score bit-identically.
+    """
     masks = np.atleast_2d(np.asarray(masks))
     m, n = masks.shape
     if n != geom.n_grid:
@@ -107,26 +143,21 @@ def omega_batch(masks: np.ndarray, geom, scn, dft_length: int) -> np.ndarray:
     if scn.n_interferers == 0:
         return np.zeros(m)
 
-    signals = [scene.steering_vector(geom, scn.desired.doa_deg)]
-    signals += [scene.steering_vector(geom, src.doa_deg) for src in scn.interferers]
-    sig = np.stack(signals)                                          # (S, N), S = L+1
-    twiddle = np.exp(-2j * np.pi / k * np.arange(k))
-    dft = twiddle[np.outer(np.arange(n), np.arange(k)) % k]          # (N, K)
-    table = (sig.T[:, :, None] * dft[:, None, :]).reshape(n, -1)      # (N, S*K)
-    # real and imaginary parts side by side: one real matmul, where a
-    # real @ complex product would be about 100x slower
-    parts = masks.astype(float) @ np.hstack([table.real, table.imag])
-    parts *= parts
-    width = table.shape[1]
-    spec = (parts[:, :width] + parts[:, width:]).reshape(m, len(signals), k)
+    lags = np.arange(n)
+    weights = np.zeros(n)
+    psi_s = scene.phase_step(geom, scn.desired.doa_deg)
+    for src in scn.interferers:
+        weights += src.power * np.cos(lags * (psi_s - scene.phase_step(geom, src.doa_deg)))
+    weights[1:] *= 2.0  # lags -d and +d
+    weights *= k * scn.desired.power
 
-    powers = np.array([src.power for src in scn.interferers])
-    overlap = (scn.desired.power * spec[:, :1, :]) * (powers[:, None] * spec[:, 1:, :])
-    per_interferer = overlap.sum(axis=2)                              # (M, L)
-    # left to right over interferers; np.sum may group the terms differently
-    total = np.zeros(m)
-    for col in per_interferer.T:
-        total += col
+    counts = lag_counts(masks)
+    counts *= counts
+    # one column at a time, so every row sums its lags in the same order and
+    # equal lag counts give bit-equal objectives in any batch
+    total = counts[:, 0] * weights[0]
+    for d in range(1, n):
+        total += counts[:, d] * weights[d]
     return total
 
 

@@ -66,16 +66,21 @@ class Scenario:
         return len(self.interferers)
 
 
+def phase_step(geom: ArrayGeometry, doa_deg: float) -> float:
+    """Phase advance per grid step, 2pi * (d/lambda) * cos(theta), of a plane
+    wave from `doa_deg`."""
+    if not 0.0 < doa_deg < 180.0:
+        raise ValueError(f"doa_deg must lie strictly inside (0, 180), got {doa_deg}")
+    return 2.0 * np.pi * geom.spacing_wavelengths * math.cos(math.radians(doa_deg))
+
+
 def steering_vector(geom: ArrayGeometry, doa_deg: float) -> np.ndarray:
     """Unit-modulus array response for a plane wave from `doa_deg`.
 
-    Entry k is exp(j * 2pi * (d/lambda) * k * cos(theta)), k = 0..N-1, so the
-    first entry is always 1.
+    Entry k is exp(j * phase_step * k), k = 0..N-1, so the first entry is
+    always 1.
     """
-    if not 0.0 < doa_deg < 180.0:
-        raise ValueError(f"doa_deg must lie strictly inside (0, 180), got {doa_deg}")
-    phase_per_step = 2.0 * np.pi * geom.spacing_wavelengths * math.cos(math.radians(doa_deg))
-    return np.exp(1j * phase_per_step * np.arange(geom.n_grid))
+    return np.exp(1j * phase_step(geom, doa_deg) * np.arange(geom.n_grid))
 
 
 def correlation_matrices(

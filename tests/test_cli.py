@@ -287,3 +287,29 @@ def test_version_and_module_entry(capsys):
     proc = subprocess.run([sys.executable, "-m", "sparsebeam", "--version"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
+
+
+# run in a child whose address space is capped, so an unbounded allocation
+# fails there with MemoryError instead of exhausting the machine
+_CAPPED_MAIN = """
+import resource, sys
+cap = 2 << 30
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+from sparsebeam import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["enumerate", "fig7", "compare"])
+def test_oversized_grid_exits_on_budget_in_bounded_memory(scenario_path, tmp_path, command):
+    src = os.path.dirname(os.path.dirname(sparsebeam.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, command, scenario_path, "--n-grid", "100000",
+         "--n-select", "1", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: C(100000,1)")

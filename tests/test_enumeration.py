@@ -41,6 +41,46 @@ def test_subset_rank_validates_input():
         enumeration.subset_unrank(math.comb(5, 2), 5, 2)
 
 
+def test_subset_rank_and_unrank_are_inverse_bijections():
+    for n in range(1, 11):
+        for p in range(1, n + 1):
+            combos = list(itertools.combinations(range(n), p))
+            for r, c in enumerate(combos):
+                assert enumeration.subset_unrank(r, n, p) == c
+                assert enumeration.subset_rank(c, n) == r
+            for bad in (-1, len(combos)):
+                with pytest.raises(ValueError):
+                    enumeration.subset_unrank(bad, n, p)
+    rng = np.random.default_rng(71)
+    for n, p in ((20, 8), (24, 12)):
+        count = math.comb(n, p)
+        for r in rng.integers(0, count, size=200).tolist():
+            c = enumeration.subset_unrank(r, n, p)
+            assert len(c) == p and list(c) == sorted(set(c)) and 0 <= c[0] and c[-1] < n
+            assert enumeration.subset_rank(c, n) == r
+        for _ in range(200):
+            c = tuple(sorted(rng.choice(n, size=p, replace=False).tolist()))
+            assert enumeration.subset_unrank(enumeration.subset_rank(c, n), n, p) == c
+        assert enumeration.subset_unrank(0, n, p) == tuple(range(p))
+        assert enumeration.subset_unrank(count - 1, n, p) == tuple(range(n - p, n))
+        for bad in (-1, count, count + 5):
+            with pytest.raises(ValueError):
+                enumeration.subset_unrank(bad, n, p)
+    with pytest.raises(ValueError):
+        enumeration.subset_unrank(0, 4, 5)
+
+
+def test_enumerate_all_ranked_masks_match_rank_ids():
+    rng = np.random.default_rng(72)
+    desired, doas, powers = random_oracle_case(rng, 9)
+    geom, scn = scenario_from_case(desired, doas, powers, 9)
+    combos = list(itertools.combinations(range(9), 4))
+    for with_objective in (False, True):
+        for rc in enumeration.enumerate_all_ranked(geom, scn, 4, with_objective=with_objective):
+            assert tuple(np.flatnonzero(rc.mask)) == combos[rc.rank_id]
+            assert rc.mask.sum() == 4
+
+
 def test_enumerate_best_matches_reference_on_small_cases():
     rng = np.random.default_rng(42)
     for trial in range(25):
@@ -110,6 +150,36 @@ def test_budget_guard_raises():
     scn = scene.Scenario(desired=scene.SourceSpec(doa_deg=60.0))
     with pytest.raises(enumeration.BudgetExceededError):
         enumeration.enumerate_best(geom, scn, 10, budget=1000)
+
+
+def test_budget_counts_wide_grids_by_mask_cells():
+    wide = enumeration.BUDGET_GRID * 4
+    scn = scene.Scenario(desired=scene.SourceSpec(doa_deg=60.0))
+    # C(N, 1) = N subsets fit a budget of N only while N <= BUDGET_GRID
+    narrow = scene.ArrayGeometry(n_grid=enumeration.BUDGET_GRID)
+    assert enumeration.enumerate_best(narrow, scn, 1, budget=narrow.n_grid).rank_id == 0
+    with pytest.raises(enumeration.BudgetExceededError, match="sensors"):
+        enumeration.enumerate_best(scene.ArrayGeometry(n_grid=wide), scn, 1, budget=wide)
+    assert enumeration.enumerate_best(scene.ArrayGeometry(n_grid=wide), scn, 1,
+                                      budget=4 * wide).rank_id == 0
+
+
+def test_streamed_blocks_bound_mask_cells(monkeypatch):
+    monkeypatch.setattr(enumeration, "_BLOCK_CELLS", 100)
+    for n, p in ((12, 3), (30, 2), (150, 1)):
+        start = 0
+        for first, subsets, masks in enumeration._subset_chunks(n, p):
+            assert first == start and masks.size <= max(100, n)
+            assert np.array_equal(np.flatnonzero(masks[0]), subsets[0])
+            start += len(masks)
+        assert start == math.comb(n, p)
+    rng = np.random.default_rng(73)
+    desired, doas, powers = random_oracle_case(rng, 10)
+    geom, scn = scenario_from_case(desired, doas, powers, 10)
+    best = enumeration.enumerate_best(geom, scn, 4)
+    monkeypatch.undo()
+    ref = enumeration.enumerate_best(geom, scn, 4)
+    assert best.rank_id == ref.rank_id
 
 
 def test_tied_optimum_resolves_to_lexicographically_first():

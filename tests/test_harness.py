@@ -242,3 +242,41 @@ def test_overlap_sweep_consistency(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "position,rank_id,omega,sinr_db"
     assert len(lines) == n + 1
+
+
+def jittered_sweep_scenes(seed, count):
+    """N=16 sweep scenes: four interferers jittered around fixed directions."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        doas = [float(np.clip(d + rng.normal(0.0, 0.5), 0.5, 179.5))
+                for d in (154.0, 55.0, 117.0, 50.0)]
+        powers = 10.0 ** rng.uniform(1.0, 2.0, size=4)
+        yield scene.Scenario(desired=scene.SourceSpec(60.0), interferers=tuple(
+            scene.SourceSpec(d, float(pw)) for d, pw in zip(doas, powers)))
+
+
+def test_overlap_sweep_breaks_exact_ties_by_rank_id():
+    geom = scene.ArrayGeometry(16)
+    for scn in jittered_sweep_scenes(81, 3):
+        sweep = harness.overlap_sweep(geom, scn, 6)
+        assert sorted(sweep.rank_ids.tolist()) == list(range(len(sweep.rank_ids)))
+        by_rank = np.empty_like(sweep.omegas)
+        by_rank[sweep.rank_ids] = sweep.omegas
+        # mirror images have equal lag counts, so they tie exactly
+        for rank in range(0, len(by_rank), 97):
+            mirror = [15 - i for i in enumeration.subset_unrank(rank, 16, 6)]
+            assert by_rank[enumeration.subset_rank(mirror, 16)] == by_rank[rank]
+        tied = np.diff(sweep.omegas) == 0
+        assert np.all(np.diff(sweep.rank_ids)[tied] > 0)
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_sweep_csv_is_independent_of_chunking(monkeypatch, tmp_path, chunk):
+    geom = scene.ArrayGeometry(16)
+    for i, scn in enumerate(jittered_sweep_scenes(82, 2)):
+        want, got = tmp_path / f"want{i}.csv", tmp_path / f"got{i}.csv"
+        harness.write_sweep_csv(want, harness.overlap_sweep(geom, scn, 6))
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, "_CHUNK", chunk)
+            harness.write_sweep_csv(got, harness.overlap_sweep(geom, scn, 6))
+        assert got.read_bytes() == want.read_bytes()

@@ -88,22 +88,62 @@ def oracle_scene(rng, n_grid, l_count):
 @pytest.mark.parametrize("n_grid", [8, 12, 16, 20])
 def test_omega_batch_and_spectrum_match_lag_loop_reference(n_grid):
     rng = np.random.default_rng(n_grid)
-    geom = scene.ArrayGeometry(n_grid=n_grid)
     masks = (rng.random((24, n_grid)) < 0.5).astype(int)
     default = sbsa.default_dft_length(n_grid)
-    for k in (2 * n_grid - 1, default, 2 * default):
-        for l_count in range(5):
-            scn, (desired, p_des, doas, powers) = oracle_scene(rng, n_grid, l_count)
-            want = oracles.oracle_omega(masks, 0.5, desired, p_des, doas, powers, k)
-            np.testing.assert_allclose(sbsa.omega_batch(masks, geom, scn, k), want,
-                                       rtol=1e-12, atol=0.0)
-            for doa in [desired] + doas:
-                rows = masks * oracles.oracle_steering(n_grid, 0.5, doa)
-                ref = oracles.oracle_autocorr_spectrum(rows, k)
-                for row, want_spec in zip(rows, ref):
-                    # bins near a null carry rounding of the peak's size
-                    err = np.abs(sbsa.signal_spectrum(row, k) - want_spec).max()
-                    assert err <= 1e-12 * want_spec.max()
+    # the lag-domain kernel sees the spacing only through each source's phase step
+    for spacing in (0.5, 0.3, 0.7):
+        geom = scene.ArrayGeometry(n_grid=n_grid, spacing_wavelengths=spacing)
+        for k in (2 * n_grid - 1, default, 2 * default):
+            for l_count in range(5):
+                scn, (desired, p_des, doas, powers) = oracle_scene(rng, n_grid, l_count)
+                want = oracles.oracle_omega(masks, spacing, desired, p_des, doas, powers, k)
+                np.testing.assert_allclose(sbsa.omega_batch(masks, geom, scn, k), want,
+                                           rtol=1e-12, atol=0.0)
+                for doa in [desired] + doas:
+                    rows = masks * oracles.oracle_steering(n_grid, spacing, doa)
+                    ref = oracles.oracle_autocorr_spectrum(rows, k)
+                    for row, want_spec in zip(rows, ref):
+                        # bins near a null carry rounding of the peak's size
+                        err = np.abs(sbsa.signal_spectrum(row, k) - want_spec).max()
+                        assert err <= 1e-12 * want_spec.max()
+
+
+def test_lag_counts_match_selection_autocorrelation():
+    rng = np.random.default_rng(31)
+    for n_grid in (2, 5, 12, 16, 23):
+        masks = (rng.random((40, n_grid)) < rng.uniform(0.2, 0.9)).astype(int)
+        masks[:, rng.integers(n_grid)] = 1  # at least one sensor per row
+        counts = sbsa.lag_counts(masks)
+        assert counts.shape == (40, n_grid)
+        for mask, row in zip(masks, counts):
+            assert row.tolist() == sbsa.selection_autocorrelation(mask)[n_grid - 1:].tolist()
+        # bool and float masks count the same
+        assert np.array_equal(sbsa.lag_counts(masks.astype(bool)), counts)
+
+
+def test_omega_batch_is_bit_identical_for_mirrors_and_translations():
+    rng = np.random.default_rng(32)
+    for n_grid in (8, 12, 16, 20):
+        geom = scene.ArrayGeometry(n_grid=n_grid)
+        k = sbsa.default_dft_length(n_grid)
+        for _ in range(10):
+            scn, _ = oracle_scene(rng, n_grid, int(rng.integers(1, 5)))
+            span = int(rng.integers(2, n_grid))
+            idx = np.concatenate(([0, span - 1], rng.choice(
+                np.arange(1, span - 1), size=min(span - 2, int(rng.integers(0, 4))),
+                replace=False))).astype(int)
+            base = np.zeros(n_grid, dtype=int)
+            base[idx] = 1
+            twins = [np.roll(base, shift) for shift in range(n_grid - span + 1)]
+            twins += [t[::-1] for t in twins]
+            others = (rng.random((30, n_grid)) < 0.5).astype(int)
+            batch = np.concatenate([others, np.array(twins)])
+            perm = rng.permutation(len(batch))
+            vals = sbsa.omega_batch(batch[perm], geom, scn, k)
+            got = vals[np.argsort(perm)][len(others):]
+            alone = sbsa.omega_batch(base, geom, scn, k)[0]
+            assert alone > 0.0
+            assert got.tolist() == [alone] * len(twins)
 
 
 @pytest.mark.parametrize("n_grid", [12, 16])
