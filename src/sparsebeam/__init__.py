@@ -3,69 +3,10 @@
 Pick the best P of N grid sensor locations for a Capon/MaxSINR beamformer:
 exhaustive enumeration (the oracle), a greedy spectral-overlap search, and a
 small trained network that maps correlation lags straight to configurations,
-plus snapshot simulation and a reproducible experiment harness.
+plus snapshot simulation and a reproducible experiment harness. Import
+names from the module that defines them.
 """
 
 from . import beamformer, enumeration, harness, mlp, nnc, sbsa, scene, snapshots
-from .beamformer import (
-    Sinr,
-    indices_from_mask,
-    mask_bits,
-    mask_from_bits,
-    mask_from_indices,
-    masks_sinr,
-    max_sinr_weights,
-    output_sinr,
-)
-from .enumeration import enumerate_all_ranked, enumerate_best, enumerate_worst
-from .harness import ExperimentConfig, draw_scenario, evaluate, generate_dataset
-from .mlp import MlpModel, TrainConfig, predict_selection, train
-from .nnc import NncIndex
-from .sbsa import SbsaConfig, omega, sbsa_select, signal_spectrum
-from .scene import ArrayGeometry, Scenario, SourceSpec, correlation_matrices, steering_vector
-from .snapshots import sample_covariance, simulate_snapshots, toeplitz_average
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArrayGeometry",
-    "ExperimentConfig",
-    "MlpModel",
-    "NncIndex",
-    "SbsaConfig",
-    "Scenario",
-    "Sinr",
-    "SourceSpec",
-    "TrainConfig",
-    "beamformer",
-    "correlation_matrices",
-    "draw_scenario",
-    "enumerate_all_ranked",
-    "enumerate_best",
-    "enumerate_worst",
-    "enumeration",
-    "evaluate",
-    "generate_dataset",
-    "harness",
-    "indices_from_mask",
-    "mask_bits",
-    "mask_from_bits",
-    "mask_from_indices",
-    "masks_sinr",
-    "max_sinr_weights",
-    "mlp",
-    "nnc",
-    "omega",
-    "output_sinr",
-    "predict_selection",
-    "sample_covariance",
-    "sbsa",
-    "sbsa_select",
-    "scene",
-    "signal_spectrum",
-    "simulate_snapshots",
-    "snapshots",
-    "steering_vector",
-    "toeplitz_average",
-    "train",
-]

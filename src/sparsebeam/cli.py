@@ -16,7 +16,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -39,14 +39,13 @@ def _sha256_of(doc) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _write_manifest(out_dir, command: str, doc: dict) -> str:
+def _write_manifest(out_dir, command: str, doc: dict) -> None:
     payload = {"command": command, "argv": sys.argv, "versions": _versions()}
     payload.update(doc)
     path = os.path.join(out_dir, f"{command}_manifest.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _load_experiment(args) -> harness.ExperimentConfig:
@@ -78,11 +77,10 @@ def cmd_gen_data(args) -> int:
     counts = {}
     t0 = time.perf_counter()
     for part in parts:
-        examples = harness.generate_dataset(cfg, part, args.label_source)
         path = os.path.join(args.out_dir, f"{part}.csv")
-        mlp.write_dataset_csv(path, examples)
-        counts[part] = len(examples)
-        print(f"wrote {path} ({len(examples)} examples)")
+        counts[part] = mlp.write_dataset_csv(
+            path, harness.scenario_stream(cfg, part, args.label_source))
+        print(f"wrote {path} ({counts[part]} examples)")
     _write_manifest(args.out_dir, "gen-data", {
         "config": harness.config_to_dict(cfg),
         "config_sha256": harness.config_hash(cfg),
@@ -126,20 +124,7 @@ def cmd_train(args) -> int:
     _write_manifest(args.out_dir, "train", {
         "dataset": args.dataset,
         "n_examples": len(sids),
-        "train_config": {
-            "hidden_sizes": list(cfg.hidden_sizes),
-            "learning_rate": cfg.learning_rate,
-            "keep_prob": cfg.keep_prob,
-            "batch_size": cfg.batch_size,
-            "max_epochs": cfg.max_epochs,
-            "patience": cfg.patience,
-            "validation_fraction": cfg.validation_fraction,
-            "standardize_features": cfg.standardize_features,
-            "normalize_power": cfg.normalize_power,
-            "rng_seed": cfg.rng_seed,
-            "split_seed": cfg.split_seed,
-            "monitor": cfg.monitor,
-        },
+        "train_config": asdict(cfg),
         "model": args.model_name,
         "compute_dtype": np.dtype(mlp.COMPUTE_DTYPE).name,
         "ensemble_members": len(results),
@@ -176,7 +161,15 @@ def cmd_eval(args) -> int:
                               part=args.part, n_random=args.n_random)
     report = os.path.join(args.out_dir, "report.csv")
     harness.write_report_csv(report, result)
-    harness.write_manifest(os.path.join(args.out_dir, "eval_manifest.json"), result)
+    _write_manifest(args.out_dir, "eval", {
+        "config": harness.config_to_dict(cfg),
+        "config_sha256": harness.config_hash(cfg),
+        "n_scenarios": len(result.rows),
+        "methods": result.method_names,
+        "summaries": {m: {k: v for k, v in asdict(s).items() if k != "name"}
+                      for m, s in result.summaries.items()},
+        "runtime_s": result.runtime_s,
+    })
     print(f"wrote {report} ({len(result.rows)} scenarios)")
     for m in result.method_names:
         s = result.summaries[m]
@@ -193,6 +186,10 @@ def cmd_sbsa(args) -> int:
         n_starts=args.n_starts,
         rng_seed=args.seed if args.seed is not None else 0,
     )
+    # the first greedy step holds starts x (N-1) candidate masks at once
+    n, starts = geom.n_grid, len(cfg.resolve_starts(geom.n_grid))
+    enumeration.charge_budget(n, starts * (n - 1), args.budget,
+                              f"{starts} starts x {n - 1} = {starts * (n - 1)} candidate masks")
     result = sbsa.sbsa_select(geom, scn, args.n_select, cfg)
     print(f"mask={beamformer.mask_bits(result.mask)} sinr_db={result.sinr.db!r}")
     path = os.path.join(args.out_dir, "sbsa_starts.csv")

@@ -34,11 +34,9 @@ _BLOCK_CELLS = 1 << 21
 
 
 class BudgetExceededError(RuntimeError):
-    def __init__(self, n: int, p: int, count: int, budget: int):
+    def __init__(self, n: int, what: str, count: int, budget: int):
         wide = f" of {n} sensors (each counted {n}/{BUDGET_GRID} times)" if n > BUDGET_GRID else ""
-        super().__init__(
-            f"C({n},{p}) = {count} subsets{wide} exceeds the enumeration budget of {budget}"
-        )
+        super().__init__(f"{what}{wide} exceeds the enumeration budget of {budget}")
         self.count = count
         self.budget = budget
 
@@ -94,12 +92,18 @@ def subset_unrank(rank: int, n: int, p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def charge_budget(n: int, count: int, budget: int, what: str) -> None:
+    """Raise BudgetExceededError when `count` masks of `n` sensors, `what`,
+    cost more than `budget`."""
+    if count * max(n, BUDGET_GRID) > budget * BUDGET_GRID:
+        raise BudgetExceededError(n, what, count, budget)
+
+
 def _check_budget(n: int, p: int, budget: int) -> int:
     if not 1 <= p <= n:
         raise ValueError(f"P must satisfy 1 <= P <= N, got P={p}, N={n}")
     count = math.comb(n, p)
-    if count * max(n, BUDGET_GRID) > budget * BUDGET_GRID:
-        raise BudgetExceededError(n, p, count, budget)
+    charge_budget(n, count, budget, f"C({n},{p}) = {count} subsets")
     return count
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import platform
-import sys
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -25,13 +25,26 @@ import numpy as np
 
 from . import beamformer, enumeration, mlp, sbsa, snapshots
 from .beamformer import REL_TIE_TOL, Sinr, mask_bits, mask_from_indices
-from .scene import ArrayGeometry, Scenario, SourceSpec, correlation_matrices, steering_vector
+from .scene import (ArrayGeometry, Scenario, SourceSpec, correlation_matrices, db_power,
+                    steering_vector)
 
 # purpose codes for derived rng streams, so no two phases share a stream
-_STREAM_TRAIN, _STREAM_TEST, _STREAM_RANDOM_BASELINE, _STREAM_EXTRA = 0, 1, 2, 3
+_STREAM_TRAIN, _STREAM_TEST, _STREAM_RANDOM_BASELINE = 0, 1, 2
 _PART_STREAM = {"train": _STREAM_TRAIN, "test": _STREAM_TEST}
 
 SELECTION_METHODS = ("sbsa", "nnc", "compact_ula", "sparse_ula", "worst_case")
+# every scenario draw builds the interferer angle grid, so its size is bounded
+MAX_INTERFERER_ANGLES = 1 << 20
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
 
 
 def _canon_label_source(value: str) -> str:
@@ -69,30 +82,45 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.n_select <= self.n_grid:
+        for name, low in (("n_grid", 2), ("n_select", 1), ("n_train_per_look", 1),
+                          ("n_test_per_look", 1), ("seed", 0)):
+            _check_int(name, getattr(self, name), low)
+        if self.n_snapshots is not None:
+            _check_int("n_snapshots", self.n_snapshots, 1)
+        for count in self.n_interferers_range:
+            _check_int("n_interferers_range", count, 0)
+        for name in ("snr_db", "noise_power", "doa_variance_deg2"):
+            _check_real(name, getattr(self, name))
+        for name in ("look_doas_deg", "inr_db_range", "interferer_grid_deg"):
+            for value in getattr(self, name):
+                _check_real(name, value)
+        if not isinstance(self.toeplitz_average, bool):
+            raise ValueError(f"toeplitz_average must be a boolean, got {self.toeplitz_average!r}")
+        if not self.n_select <= self.n_grid:
             raise ValueError("need 1 <= n_select <= n_grid")
         if not self.look_doas_deg:
             raise ValueError("at least one look direction is required")
         if any(not 0.0 < d < 180.0 for d in self.look_doas_deg):
             raise ValueError("look directions must lie strictly inside (0, 180)")
         lo, hi = self.n_interferers_range
-        if not 0 <= lo <= hi:
+        if not lo <= hi:
             raise ValueError("bad n_interferers_range")
         if self.inr_db_range[0] > self.inr_db_range[1]:
             raise ValueError("bad inr_db_range")
         start, stop, step = self.interferer_grid_deg
         if step <= 0 or not 0.0 < start <= stop < 180.0:
             raise ValueError("bad interferer_grid_deg")
+        if (stop - start) / step >= MAX_INTERFERER_ANGLES:
+            raise ValueError(f"interferer_grid_deg spans more than {MAX_INTERFERER_ANGLES} angles")
         if hi > self.interferer_grid(exclude=None).size - 1:
             raise ValueError("n_interferers_range exceeds the interferer grid")
-        if self.n_train_per_look < 1 or self.n_test_per_look < 1:
-            raise ValueError("per-look counts must be >= 1")
-        if self.n_snapshots is not None and self.n_snapshots < 1:
-            raise ValueError("n_snapshots must be >= 1 when set")
         if self.doa_variance_deg2 < 0:
             raise ValueError("doa_variance_deg2 must be >= 0")
         if not self.noise_power > 0:
             raise ValueError("noise_power must be positive")
+        for db in (self.snr_db, *self.inr_db_range):
+            if not 0.0 < db_power(self.noise_power, db) < math.inf:
+                raise ValueError(f"power of {db} dB overflows or underflows a float")
         if _canon_label_source(self.label_source) != self.label_source:
             object.__setattr__(self, "label_source", _canon_label_source(self.label_source))
 
@@ -118,6 +146,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    if not isinstance(doc, dict):
+        raise ValueError("an experiment config must be a JSON object")
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = set(doc) - known
     if unknown:
@@ -125,6 +155,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     kwargs = dict(doc)
     for key in ("look_doas_deg", "inr_db_range", "n_interferers_range", "interferer_grid_deg"):
         if key in kwargs:
+            if not isinstance(kwargs[key], list):
+                raise ValueError(f"{key} must be a list")
             kwargs[key] = tuple(kwargs[key])
     return ExperimentConfig(**kwargs)
 
@@ -180,7 +212,7 @@ def _perturbed(nominal: Scenario, pert, rng) -> Scenario:
             return snapshots.perturb_scenario(nominal, pert, seed=seed)
         except ValueError:
             continue
-    raise RuntimeError("could not draw a collision-free perturbed scenario")
+    raise ValueError("doa_variance_deg2 too large to draw a collision-free perturbed scenario")
 
 
 @dataclass
@@ -247,14 +279,6 @@ def scenario_stream(cfg: ExperimentConfig, part: str, label_source: str | None =
             )
 
 
-def generate_dataset(cfg: ExperimentConfig, part: str,
-                     label_source: str | None = None) -> list[mlp.LabeledExample]:
-    return [
-        mlp.LabeledExample(rec.scenario_id, rec.look_doa_deg, rec.features, rec.label_mask)
-        for rec in scenario_stream(cfg, part, label_source)
-    ]
-
-
 # --- fixed and random baselines ---------------------------------------------
 
 
@@ -281,20 +305,6 @@ def random_masks(n_grid: int, p: int, n_draws: int, rng) -> np.ndarray:
 
 def worst_case_mask(geom, scn, p: int) -> np.ndarray:
     return enumeration.enumerate_worst(geom, scn, p).mask
-
-
-def baseline_masks(n_grid: int, p: int, seed: int = 0, n_random: int = 1) -> dict:
-    """Scenario-independent baselines in one bundle.
-
-    "random" is an (n_random, N) stack; the worst-case baseline depends on
-    the scenario, see worst_case_mask.
-    """
-    rng = np.random.default_rng(seed)
-    return {
-        "compact_ula": compact_ula_mask(n_grid, p),
-        "sparse_ula": sparse_ula_mask(n_grid, p),
-        "random": random_masks(n_grid, p, n_random, rng),
-    }
 
 
 # --- finite-sample selection -------------------------------------------------
@@ -398,7 +408,6 @@ class MethodSummary:
 
 @dataclass
 class EvaluationResult:
-    config: ExperimentConfig
     method_names: list[str]
     rows: list[dict]
     summaries: dict[str, MethodSummary]
@@ -488,7 +497,6 @@ def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
             exact_match_rate=None if m == "random" else matches[m] / max(n_scn, 1),
         )
     return EvaluationResult(
-        config=cfg,
         method_names=list(methods),
         rows=rows,
         summaries=summaries,
@@ -521,44 +529,6 @@ def write_report_csv(path, result: EvaluationResult) -> None:
             ])
 
 
-def run_manifest(result: EvaluationResult, extra: dict | None = None) -> dict:
-    import scipy
-
-    from . import __version__
-
-    doc = {
-        "config": config_to_dict(result.config),
-        "config_sha256": config_hash(result.config),
-        "n_scenarios": len(result.rows),
-        "methods": result.method_names,
-        "summaries": {
-            m: {
-                "mean_sinr_db": s.mean_sinr_db,
-                "mean_gap_db": s.mean_gap_db,
-                "exact_match_rate": s.exact_match_rate,
-            }
-            for m, s in result.summaries.items()
-        },
-        "runtime_s": result.runtime_s,
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "sparsebeam": __version__,
-        },
-        "argv": sys.argv,
-    }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def write_manifest(path, result: EvaluationResult, extra: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(run_manifest(result, extra), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # --- objective-vs-SINR sweep --------------------------------------------------
 
 
@@ -572,10 +542,6 @@ class OverlapSweep:
     lower_half_mean_db: float
     upper_half_mean_db: float
     best_position: int
-
-    @property
-    def best_is_min_omega(self) -> bool:
-        return self.best_position == 0
 
 
 def overlap_sweep(geom, scn, p: int, dft_length: int | None = None,

@@ -15,8 +15,10 @@ and inference are float64.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import os
 import re
 import struct
 import time
@@ -126,17 +128,16 @@ def _standardize(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return (x - model.feature_mean) / model.feature_scale
 
 
-def forward(model, x, *, keep_prob: float = 1.0, rng=None,
-            dropout_masks=None) -> np.ndarray:
+def forward(model, x, *, keep_prob: float = 1.0, dropout_masks=None) -> np.ndarray:
     """Network scores for a batch of raw feature vectors, shape (B, n_out).
 
-    Computes in float64. Inference drops nothing; pass keep_prob < 1 with an
-    rng (or fixed 0/1 masks) for a stochastic pass with inverted dropout after
-    each hidden ReLU. An EnsembleModel returns the mean of its members'
-    scores (inference only).
+    Computes in float64. Inference drops nothing; pass keep_prob < 1 with
+    fixed 0/1 masks for a pass with inverted dropout after each hidden ReLU.
+    An EnsembleModel returns the mean of its members' scores (inference
+    only).
     """
     if isinstance(model, EnsembleModel):
-        if keep_prob < 1.0 or rng is not None or dropout_masks is not None:
+        if keep_prob < 1.0 or dropout_masks is not None:
             raise ValueError("ensembles are inference-only; train members individually")
         return np.mean([forward(m, x) for m in model.members], axis=0)
     a = _standardize(model, np.atleast_2d(np.asarray(x, dtype=float)))
@@ -147,8 +148,6 @@ def forward(model, x, *, keep_prob: float = 1.0, rng=None,
             a = np.maximum(a, 0.0)
             if keep_prob < 1.0 and dropout_masks is not None:
                 a = a * dropout_masks[i] / keep_prob
-            elif keep_prob < 1.0 and rng is not None:
-                a = a * (rng.random(a.shape) < keep_prob) / keep_prob
     return a[0] if np.asarray(x).ndim == 1 else a
 
 
@@ -669,37 +668,38 @@ def load_model(path):
     raise ValueError("not a model file")
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    """One training row: lag features plus the best configuration's mask."""
-
-    scenario_id: str
-    look_doa_deg: float
-    features: np.ndarray
-    label_mask: np.ndarray
-
-
-def write_dataset_csv(path, examples) -> None:
+def write_dataset_csv(path, records) -> int:
     """Dataset CSV: scenario_id, look_doa_deg, f_0..f_{2N-2}, label_mask_bits.
 
-    Floats are written with repr so a read/write round trip is byte-stable.
+    `records` is any iterable of harness.ScenarioRecord (a scenario_stream is
+    written as it is drawn); returns the number of rows. Floats are written
+    with repr so a read/write round trip is byte-stable. A stream that fails
+    part-way leaves no file behind.
     """
-    if not examples:
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
         raise ValueError("refusing to write an empty dataset")
-    n_feat = len(examples[0].features)
+    n_feat = len(first.features)
     header = ["scenario_id", "look_doa_deg"]
     header += [f"f_{i}" for i in range(n_feat)]
     header += ["label_mask_bits"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for ex in examples:
-            if len(ex.features) != n_feat:
-                raise ValueError("inconsistent feature lengths in dataset")
-            row = [ex.scenario_id, repr(float(ex.look_doa_deg))]
-            row += [repr(float(v)) for v in ex.features]
-            row += ["".join(str(int(b)) for b in ex.label_mask)]
-            writer.writerow(row)
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for count, rec in enumerate(itertools.chain([first], records), start=1):
+                if len(rec.features) != n_feat:
+                    raise ValueError("inconsistent feature lengths in dataset")
+                row = [rec.scenario_id, repr(float(rec.look_doa_deg))]
+                row += [repr(float(v)) for v in rec.features]
+                row += ["".join(str(int(b)) for b in rec.label_mask)]
+                writer.writerow(row)
+    except BaseException:
+        os.remove(path)
+        raise
+    return count
 
 
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:

@@ -29,9 +29,6 @@ class NncIndex:
         self.labels = y
         self.metric = metric
 
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
     def nearest(self, query) -> int:
         """Index of the closest stored example (first on exact distance ties)."""
         return int(self.nearest_batch(np.atleast_2d(np.asarray(query, dtype=float)))[0])
@@ -49,12 +46,3 @@ class NncIndex:
 
     def predict(self, query) -> np.ndarray:
         return np.array(self.labels[self.nearest(query)], copy=True)
-
-    def predict_batch(self, queries) -> np.ndarray:
-        idx = self.nearest_batch(queries)
-        return np.array(self.labels[idx], copy=True)
-
-
-def nnc_predict(train_features, train_labels, query, metric: str = "mse") -> np.ndarray:
-    """One-shot lookup when building an index object is not worth it."""
-    return NncIndex(train_features, train_labels, metric=metric).predict(query)

@@ -101,12 +101,6 @@ def correlation_matrices(
     return r_s, r_sn, r_s + r_sn
 
 
-def lag_vector(r: np.ndarray) -> np.ndarray:
-    """First row of a Hermitian correlation matrix: lags 0..N-1."""
-    r = np.asarray(r)
-    return r[0, :].copy()
-
-
 # --- scenario (de)serialization ------------------------------------------
 #
 # Human-readable JSON document; powers are stored in dB relative to
@@ -126,7 +120,8 @@ def scenario_to_dict(scn: Scenario) -> dict:
     }
 
 
-def _db_power(noise_power: float, db) -> float:
+def db_power(noise_power: float, db) -> float:
+    """Linear power `db` decibels above `noise_power`; ValueError on overflow."""
     try:
         return noise_power * 10.0 ** (float(db) / 10.0)
     except OverflowError:
@@ -141,10 +136,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ValueError("interferer_doas_deg and inr_db must have equal length")
     desired = SourceSpec(
         doa_deg=float(doc["desired_doa_deg"]),
-        power=_db_power(noise_power, doc["snr_db"]),
+        power=db_power(noise_power, doc["snr_db"]),
     )
     interferers = tuple(
-        SourceSpec(doa_deg=float(d), power=_db_power(noise_power, i))
+        SourceSpec(doa_deg=float(d), power=db_power(noise_power, i))
         for d, i in zip(doas, inrs)
     )
     return Scenario(desired=desired, interferers=interferers, noise_power=noise_power)

@@ -6,19 +6,18 @@ always generated on the full N-element grid; selection happens downstream by
 masking rows of the estimated covariance. Includes Toeplitz averaging of the
 sample covariance and small Gaussian perturbation of scenario DOAs for
 building training sets that do not sit exactly on the nominal look angles.
+Snapshots live only in memory: there is no snapshot file format, and every
+run re-simulates them from its seed.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import scene
 
-_MAGIC = b"SNPB"
-_LAYOUT = 1
 _DOA_CLAMP = (0.5, 179.5)
 
 
@@ -94,56 +93,18 @@ def toeplitz_average(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def perturb_scenario(scn, pert: PerturbationSpec, seed: int,
-                     perturb_desired: bool = True,
-                     perturb_interferers: bool = True):
+def perturb_scenario(scn, pert: PerturbationSpec, seed: int):
     """Scenario copy with Gaussian-jittered DOAs, clamped to (0.5, 179.5) deg.
 
     Jitter is drawn for the desired source first, then each interferer in
-    order; disabled draws are still consumed so the stream stays aligned.
+    order.
     """
     rng = np.random.default_rng(seed)
     std = float(np.sqrt(pert.doa_variance_deg2))
 
-    def jitter(doa, enabled):
-        delta = float(rng.normal(0.0, std))
-        if not enabled:
-            return doa
-        return float(np.clip(doa + delta, *_DOA_CLAMP))
+    def jitter(doa):
+        return float(np.clip(doa + float(rng.normal(0.0, std)), *_DOA_CLAMP))
 
-    desired = replace(scn.desired, doa_deg=jitter(scn.desired.doa_deg, perturb_desired))
-    interferers = tuple(
-        replace(src, doa_deg=jitter(src.doa_deg, perturb_interferers))
-        for src in scn.interferers
-    )
+    desired = replace(scn.desired, doa_deg=jitter(scn.desired.doa_deg))
+    interferers = tuple(replace(src, doa_deg=jitter(src.doa_deg)) for src in scn.interferers)
     return replace(scn, desired=desired, interferers=interferers)
-
-
-def save_snapshots(path, snapshots: np.ndarray) -> None:
-    """Binary snapshot file: 16-byte header (magic, T, N, layout), then the
-    (T, N) matrix row-major as interleaved re/im float64 pairs."""
-    x = np.asarray(snapshots, dtype=complex)
-    if x.ndim != 2:
-        raise ValueError("snapshots must be a (T, N) matrix")
-    t, n = x.shape
-    flat = np.empty(t * n * 2, dtype="<f8")
-    flat[0::2] = x.real.ravel()
-    flat[1::2] = x.imag.ravel()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", t, n, _LAYOUT))
-        fh.write(flat.tobytes())
-
-
-def load_snapshots(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:4] != _MAGIC:
-            raise ValueError("not a snapshot file")
-        t, n, layout = struct.unpack("<III", header[4:])
-        if layout != _LAYOUT:
-            raise ValueError(f"unsupported snapshot layout {layout}")
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    if flat.size != t * n * 2:
-        raise ValueError("snapshot payload truncated")
-    return (flat[0::2] + 1j * flat[1::2]).reshape(t, n)

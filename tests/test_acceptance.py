@@ -194,7 +194,7 @@ def pipeline():
                                    n_train_per_look=5000,
                                    n_test_per_look=500, seed=7)
     t0 = time.perf_counter()
-    records = harness.generate_dataset(cfg, part="train")
+    records = list(harness.scenario_stream(cfg, "train"))
     x = np.array([r.features for r in records])
     y = np.array([r.label_mask for r in records], dtype=float)
     sids = [r.scenario_id for r in records]
@@ -304,7 +304,7 @@ def test_full_scale_benchmark():
         models = {}
         index = None
         for name, source in (("dnn_en", "enumeration"), ("dnn_sbsa", "sbsa")):
-            records = harness.generate_dataset(cfg, "train", source)
+            records = list(harness.scenario_stream(cfg, "train", source))
             x = np.array([r.features for r in records])
             y = np.array([r.label_mask for r in records], dtype=float)
             sids = [r.scenario_id for r in records]

@@ -301,15 +301,90 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("command", ["enumerate", "fig7", "compare"])
-def test_oversized_grid_exits_on_budget_in_bounded_memory(scenario_path, tmp_path, command):
+def run_capped(argv):
     src = os.path.dirname(os.path.dirname(sparsebeam.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_MAIN, command, scenario_path, "--n-grid", "100000",
-         "--n-select", "1", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("command", ["enumerate", "fig7", "compare", "sbsa"])
+def test_oversized_grid_exits_on_budget_in_bounded_memory(scenario_path, tmp_path, command):
+    proc = run_capped([command, scenario_path, "--n-grid", "100000", "--n-select", "1",
+                       "--out-dir", str(tmp_path)])
     assert proc.returncode == 3, proc.stderr
     lines = proc.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: C(100000,1)")
+    # sbsa is charged for its first greedy step, starts x (N-1) candidate masks
+    want = "error: 100000 starts x 99999" if command == "sbsa" else "error: C(100000,1)"
+    assert len(lines) == 1 and lines[0].startswith(want)
+
+
+def test_sbsa_charges_first_greedy_step_to_budget(scenario_path, tmp_path, capsys):
+    # 8 starts x 7 candidates = 56 masks fit a budget of 56, not 55
+    argv = ["sbsa", scenario_path, "--n-grid", "8", "--n-select", "3"]
+    assert cli.main(argv + ["--budget", "56", "--out-dir", str(tmp_path / "a")]) == 0
+    assert cli.main(argv + ["--budget", "55", "--out-dir", str(tmp_path / "b")]) == 3
+    assert not (tmp_path / "b" / "sbsa_starts.csv").exists()
+    proc = run_capped(["sbsa", scenario_path, "--n-grid", "3000", "--n-select", "2",
+                       "--out-dir", str(tmp_path / "c")])
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: 3000 starts x 2999")
+
+
+@pytest.mark.parametrize("override", [
+    pytest.param('"inr_db_range": [10, 1e400]', id="inr-infinite"),
+    pytest.param('"inr_db_range": [10, NaN]', id="inr-nan"),
+    pytest.param('"inr_db_range": [10, 5000]', id="inr-overflow"),
+    pytest.param('"snr_db": 5000', id="snr-overflow"),
+    pytest.param('"doa_variance_deg2": Infinity', id="variance-infinite"),
+    pytest.param('"doa_variance_deg2": 1e6, "n_interferers_range": [3, 4]', id="variance-huge"),
+    pytest.param('"n_grid": 8.0', id="n_grid-float"),
+    pytest.param('"n_select": 2.5', id="n_select-float"),
+    pytest.param('"n_train_per_look": 2.5', id="n_train_per_look-float"),
+    pytest.param('"n_snapshots": 2.5', id="n_snapshots-float"),
+    pytest.param('"seed": 1.5', id="seed-float"),
+    pytest.param('"interferer_grid_deg": [10, 170, 1e-9]', id="grid-step-tiny"),
+    pytest.param('"n_interferers_range": [1, 2.5]', id="n_interferers-float"),
+    pytest.param('"toeplitz_average": "no"', id="toeplitz-string"),
+])
+def test_bad_config_exits_two_without_data(tmp_path, override):
+    # the last duplicate key wins, so the override replaces the base value;
+    # the child's address space is capped, so an unbounded grid cannot run
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n_grid": 8, "n_select": 3, "look_doas_deg": [60.0], '
+                    f'"n_train_per_look": 4, "n_test_per_look": 2, "seed": 5, {override}}}')
+    proc = run_capped(["gen-data", str(path), "--out-dir", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+def test_every_manifest_has_provenance_keys(config_path, scenario_path, tmp_path):
+    out = tmp_path / "out"
+    scene_args = [scenario_path, "--n-grid", "8", "--n-select", "3", "--out-dir", str(out)]
+    runs = [
+        ["gen-data", config_path, "--out-dir", str(out)],
+        ["train", str(out / "train.csv"), "--hidden", "6", "--epochs", "2",
+         "--out-dir", str(out)],
+        ["eval", config_path, "--model", f"dnn={out / 'model.bin'}",
+         "--methods", "compact_ula", "--n-random", "5", "--out-dir", str(out)],
+        *([command, *scene_args] for command in ("sbsa", "enumerate", "fig7", "compare")),
+    ]
+    for argv in runs:
+        assert cli.main(argv) == 0
+    manifests = sorted(out.glob("*_manifest.json"))
+    assert len(manifests) == len(runs)
+    for path in manifests:
+        doc = json.loads(path.read_text())
+        assert path.name == f"{doc['command']}_manifest.json"
+        assert isinstance(doc["argv"], list)
+        assert {"python", "numpy", "scipy", "sparsebeam"} <= set(doc["versions"])
+    doc = json.loads((out / "eval_manifest.json").read_text())
+    assert doc["config_sha256"] == harness.config_hash(harness.load_config(config_path))
+    assert doc["n_scenarios"] == 8
+    assert doc["methods"] == ["compact_ula", "dnn"]
+    assert set(doc["summaries"]["dnn"]) == {"mean_sinr_db", "mean_gap_db", "exact_match_rate"}
+    assert doc["runtime_s"]["evaluate"] > 0.0

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from sparsebeam import mlp, scene
+from sparsebeam import harness, mlp, scene
 
 from .oracles import oracle_train_steps
 
@@ -27,7 +27,7 @@ def test_extract_features_matrix_and_vector_agree():
         interferers=(scene.SourceSpec(doa_deg=100.0, power=30.0),))
     _, _, r_xx = scene.correlation_matrices(geom, scn)
     f_mat = mlp.extract_features(r_xx)
-    f_vec = mlp.extract_features(scene.lag_vector(r_xx))
+    f_vec = mlp.extract_features(r_xx[0])
     assert f_mat.shape == (2 * 6 - 1,)
     assert np.array_equal(f_mat, f_vec)
     assert np.array_equal(f_mat[:6], r_xx[0].real)
@@ -192,7 +192,7 @@ def test_train_ensemble_averages_member_scores():
     pred = mlp.predict_selection(ens.model, x, 2)
     assert np.all(pred.sum(axis=1) == 2)
     with pytest.raises(ValueError):
-        mlp.forward(ens.model, x, keep_prob=0.5, rng=np.random.default_rng(0))
+        mlp.forward(ens.model, x, keep_prob=0.5)
     with pytest.raises(ValueError):
         mlp.train_ensemble(x, y, cfg, n_members=0)
     with pytest.raises(ValueError):
@@ -339,23 +339,26 @@ def test_split_train_validation_is_stratified_and_disjoint():
 
 
 def test_dataset_csv_round_trip(tmp_path):
-    geom = scene.ArrayGeometry(n_grid=5)
-    rng = np.random.default_rng(11)
-    rows = []
-    for i in range(4):
-        feats = rng.normal(size=2 * 5 - 1)
-        mask = np.zeros(5, dtype=int)
-        mask[rng.choice(5, size=3, replace=False)] = 1
-        rows.append(mlp.LabeledExample(
-            scenario_id=f"look60-L2-{i:05d}", look_doa_deg=60.0,
-            features=feats, label_mask=mask))
+    cfg = harness.ExperimentConfig(n_grid=5, n_select=3, look_doas_deg=(60.0,),
+                                   n_train_per_look=4, seed=11)
+    rows = list(harness.scenario_stream(cfg, "train"))
     path = tmp_path / "data.csv"
-    mlp.write_dataset_csv(path, rows)
+    assert mlp.write_dataset_csv(path, rows) == 4
     x, y, sids = mlp.read_dataset_csv(path)
     assert sids == [r.scenario_id for r in rows]
     assert x.shape == (4, 9) and y.shape == (4, 5)
     assert np.array_equal(x, [r.features for r in rows])  # repr round trip
     assert np.array_equal(y, [r.label_mask for r in rows])
+
+    def broken_stream():
+        yield rows[0]
+        raise ValueError("stream broke")
+
+    with pytest.raises(ValueError, match="stream broke"):
+        mlp.write_dataset_csv(tmp_path / "partial.csv", broken_stream())
+    assert not (tmp_path / "partial.csv").exists()
+    with pytest.raises(ValueError, match="empty"):
+        mlp.write_dataset_csv(tmp_path / "empty.csv", iter([]))
 
 
 def test_train_config_validation():

@@ -25,9 +25,10 @@ def test_batch_matches_single_queries():
     index, feats, _ = make_index(seed=1)
     rng = np.random.default_rng(2)
     queries = rng.normal(size=(10, feats.shape[1]))
-    batch = index.predict_batch(queries)
-    for q, row in zip(queries, batch):
-        assert np.array_equal(index.predict(q), row)
+    batch = index.nearest_batch(queries)
+    for q, i in zip(queries, batch):
+        assert index.nearest(q) == i
+        assert np.array_equal(index.predict(q), index.labels[i])
 
 
 def test_ties_resolve_to_lowest_stored_id():
@@ -53,13 +54,6 @@ def test_predictions_are_copies():
     out = index.predict(feats[0])
     out[:] = 9
     assert np.array_equal(index.predict(feats[0]), labels[0])
-
-
-def test_convenience_wrapper_matches_index():
-    index, feats, labels = make_index(seed=4)
-    rng = np.random.default_rng(5)
-    q = rng.normal(size=feats.shape[1])
-    assert np.array_equal(nnc.nnc_predict(feats, labels, q), index.predict(q))
 
 
 def test_validation_errors():

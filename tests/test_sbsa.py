@@ -57,19 +57,6 @@ def test_redundancy_identities():
         assert acf[n - 1] == p  # zero lag carries the cardinality
 
 
-def test_signal_spectrum_is_real_nonnegative_and_parseval_consistent():
-    geom, scn = build(l_count=1, seed=1)
-    v = scene.steering_vector(geom, 47.0)
-    k = sbsa.default_dft_length(geom.n_grid)
-    spec = sbsa.signal_spectrum(v, k)
-    assert spec.shape == (k,)
-    assert spec.dtype.kind == "f"
-    assert spec.min() >= 0.0
-    # DFT of the autocorrelation: bin sum recovers k * |lag-0 term|
-    acf = np.correlate(v, v, "full").conj()[::-1]
-    assert spec.sum() == pytest.approx(k * acf[geom.n_grid - 1].real, rel=1e-12)
-
-
 def oracle_scene(rng, n_grid, l_count):
     """Scenario drawn the way the oracles take it, plus the library object."""
     desired = float(rng.uniform(20.0, 160.0))
@@ -96,16 +83,11 @@ def test_omega_batch_and_spectrum_match_lag_loop_reference(n_grid):
         for k in (2 * n_grid - 1, default, 2 * default):
             for l_count in range(5):
                 scn, (desired, p_des, doas, powers) = oracle_scene(rng, n_grid, l_count)
+                # the oracle multiplies K-bin spectra built lag by lag from each
+                # masked steering vector's autocorrelation
                 want = oracles.oracle_omega(masks, spacing, desired, p_des, doas, powers, k)
                 np.testing.assert_allclose(sbsa.omega_batch(masks, geom, scn, k), want,
                                            rtol=1e-12, atol=0.0)
-                for doa in [desired] + doas:
-                    rows = masks * oracles.oracle_steering(n_grid, spacing, doa)
-                    ref = oracles.oracle_autocorr_spectrum(rows, k)
-                    for row, want_spec in zip(rows, ref):
-                        # bins near a null carry rounding of the peak's size
-                        err = np.abs(sbsa.signal_spectrum(row, k) - want_spec).max()
-                        assert err <= 1e-12 * want_spec.max()
 
 
 def test_lag_counts_match_selection_autocorrelation():
@@ -243,12 +225,11 @@ def test_greedy_never_beats_exhaustive_search():
 
 def test_restricted_starts_and_seeded_sampling():
     geom, scn = build(l_count=2, seed=8)
-    res = sbsa.sbsa_select(geom, scn, 4,
-                           sbsa.SbsaConfig(start_indices=(0, 5)))
-    assert [t.start for t in res.starts] == [0, 5]
     a = sbsa.sbsa_select(geom, scn, 4, sbsa.SbsaConfig(n_starts=3, rng_seed=11))
     b = sbsa.sbsa_select(geom, scn, 4, sbsa.SbsaConfig(n_starts=3, rng_seed=11))
-    assert [t.start for t in a.starts] == [t.start for t in b.starts]
+    starts = [t.start for t in a.starts]
+    assert starts == [t.start for t in b.starts]
+    assert len(set(starts)) == 3 and starts == sorted(starts)
 
 
 def test_omega_of_greedy_steps_is_monotone_per_trace():

@@ -94,16 +94,6 @@ def test_noise_only_scenario_gives_scaled_identity_interference():
     assert np.allclose(r_sn, 2.5 * np.eye(6), atol=1e-12)
 
 
-def test_lag_vector_is_first_row():
-    scn, geom = make_scenario(l_count=2, seed=5)
-    _, _, r_xx = scene.correlation_matrices(geom, scn)
-    lags = scene.lag_vector(r_xx)
-    assert lags.shape == (geom.n_grid,)
-    assert np.array_equal(lags, r_xx[0])
-    lags[0] = 0  # must be a copy
-    assert r_xx[0, 0] != 0
-
-
 def assert_scenarios_close(a, b):
     # powers serialize through dB, so allow float round-off there
     assert a.desired.doa_deg == b.desired.doa_deg

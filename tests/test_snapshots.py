@@ -1,7 +1,6 @@
 """Finite-sample simulation, covariance estimation, and DOA perturbation."""
 
 import numpy as np
-import pytest
 
 from sparsebeam import scene, snapshots
 
@@ -88,11 +87,11 @@ def test_perturbation_spreads_doas_with_expected_scale():
 def test_perturbation_respects_flags_and_clamps():
     geom, scn = build(l_count=2, seed=9)
     pert = snapshots.PerturbationSpec(doa_variance_deg2=0.25)
-    fixed_desired = snapshots.perturb_scenario(scn, pert, seed=1,
-                                               perturb_desired=False)
-    assert fixed_desired.desired.doa_deg == scn.desired.doa_deg
-    assert any(a.doa_deg != b.doa_deg for a, b in
-               zip(fixed_desired.interferers, scn.interferers))
+    # one seed jitters every source: the desired one first, then each interferer
+    moved = snapshots.perturb_scenario(scn, pert, seed=1)
+    rng = np.random.default_rng(1)
+    for a, b in zip([moved.desired, *moved.interferers], [scn.desired, *scn.interferers]):
+        assert a.doa_deg == b.doa_deg + rng.normal(0.0, 0.5)
 
     edge = scene.Scenario(desired=scene.SourceSpec(doa_deg=0.6),
                           noise_power=1.0)
@@ -100,19 +99,3 @@ def test_perturbation_respects_flags_and_clamps():
     for seed in range(50):
         p = snapshots.perturb_scenario(edge, big, seed=seed)
         assert 0.5 <= p.desired.doa_deg <= 179.5
-
-
-def test_snapshot_file_round_trip(tmp_path):
-    geom, scn = build(seed=10)
-    x = snapshots.simulate_snapshots(geom, scn, 32, seed=11)
-    path = tmp_path / "snaps.bin"
-    snapshots.save_snapshots(path, x)
-    back = snapshots.load_snapshots(path)
-    assert np.array_equal(back, x)
-
-
-def test_snapshot_loader_rejects_foreign_files(tmp_path):
-    path = tmp_path / "bogus.bin"
-    path.write_bytes(b"not a snapshot file")
-    with pytest.raises(ValueError):
-        snapshots.load_snapshots(path)
