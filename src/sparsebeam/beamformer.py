@@ -1,10 +1,10 @@
 """MaxSINR weights and output SINR for full or sparse configurations.
 
 The optimum weight vector is the principal eigenvector of R_xx^-1 R_s (equal,
-up to scale, to that of R_sn^-1 R_s). For a rank-1 source matrix this is the
-Capon direction R_xx^-1 s, computed by a Cholesky solve; a generalized
-eigensolver handles higher-rank source matrices. Weights are normalized so
-w^H R_s w = 1 with the first nonzero entry real-positive.
+up to scale, to that of R_sn^-1 R_s). A scene has one desired source, so R_s
+is rank one and that eigenvector is the Capon direction R_xx^-1 s, computed by
+a Cholesky solve; a source matrix of higher rank is a ValueError. Weights are
+normalized so w^H R_s w = 1 with the first nonzero entry real-positive.
 
 Subset scoring, the inner loop of every selector, never forms a P x P
 matrix for an exact scene: subset_sinr_batch works in interferer space, with
@@ -136,13 +136,11 @@ def max_sinr_weights(r_s: np.ndarray, r_xx: np.ndarray, mask=None) -> np.ndarray
             f"covariance submatrix is numerically singular (cond > {COND_LIMIT:g})"
         )
 
-    if _is_rank_one(rs_sub):
-        # Capon direction: any nonzero column of the rank-1 R_s is ~ s
-        col = int(np.argmax(np.linalg.norm(rs_sub, axis=0)))
-        w = _solve_pd(rxx_sub, rs_sub[:, col])
-    else:
-        vals, vecs = scipy.linalg.eigh(rs_sub, rxx_sub)
-        w = vecs[:, -1]
+    if not _is_rank_one(rs_sub):
+        raise ValueError("source matrix must be rank one (one desired source)")
+    # Capon direction: any nonzero column of the rank-1 R_s is ~ s
+    col = int(np.argmax(np.linalg.norm(rs_sub, axis=0)))
+    w = _solve_pd(rxx_sub, rs_sub[:, col])
 
     quad = (w.conj() @ rs_sub @ w).real
     if quad <= 0:

@@ -109,15 +109,14 @@ def cmd_train(args) -> int:
         monitor=args.monitor,
     )
     t0 = time.perf_counter()
-    if args.ensemble > 1:
-        ens = mlp.train_ensemble(x, y, cfg, n_members=args.ensemble,
-                                 scenario_ids=sids)
-        model, results = ens.model, ens.members
+    # train_ensemble seeds its own split generator; train draws from the fit's rng
+    if args.ensemble == 1:
+        results = [mlp.train(x, y, cfg, scenario_ids=sids)]
     else:
-        single = mlp.train(x, y, cfg, scenario_ids=sids)
-        model, results = single.model, [single]
+        results = mlp.train_ensemble(x, y, cfg, n_members=args.ensemble,
+                                     scenario_ids=sids)
     model_path = os.path.join(args.out_dir, args.model_name)
-    mlp.save_model(model_path, model)
+    mlp.save_model(model_path, [r.model for r in results])
     epochs = [r.best_epoch for r in results]
     print(f"wrote {model_path} (best epoch {epochs[0] if len(epochs) == 1 else epochs}, "
           f"final train loss {results[-1].train_losses[-1]:.6g})")

@@ -33,8 +33,10 @@ _STREAM_TRAIN, _STREAM_TEST, _STREAM_RANDOM_BASELINE = 0, 1, 2
 _PART_STREAM = {"train": _STREAM_TRAIN, "test": _STREAM_TEST}
 
 SELECTION_METHODS = ("sbsa", "nnc", "compact_ula", "sparse_ula", "worst_case")
-# every scenario draw builds the interferer angle grid, so its size is bounded
-MAX_INTERFERER_ANGLES = 1 << 20
+# every scenario draw builds the interferer angle grid, so its size is bounded;
+# an SBSA label's first step scores N(N-1) float64 masks of N cells (134 MB at
+# MAX_GRID), and one scene's complex (T, N) snapshots are 64 MiB at the cap
+MAX_INTERFERER_ANGLES, MAX_GRID, MAX_SNAPSHOT_CELLS = 1 << 20, 256, 1 << 22
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -85,8 +87,12 @@ class ExperimentConfig:
         for name, low in (("n_grid", 2), ("n_select", 1), ("n_train_per_look", 1),
                           ("n_test_per_look", 1), ("seed", 0)):
             _check_int(name, getattr(self, name), low)
+        if self.n_grid > MAX_GRID:
+            raise ValueError(f"n_grid must be <= {MAX_GRID}, got {self.n_grid}")
         if self.n_snapshots is not None:
             _check_int("n_snapshots", self.n_snapshots, 1)
+            if self.n_snapshots * self.n_grid > MAX_SNAPSHOT_CELLS:
+                raise ValueError(f"n_snapshots x n_grid exceeds {MAX_SNAPSHOT_CELLS} cells")
         for count in self.n_interferers_range:
             _check_int("n_interferers_range", count, 0)
         for name in ("snr_db", "noise_power", "doa_variance_deg2"):
@@ -296,7 +302,11 @@ def sparse_ula_mask(n_grid: int, p: int) -> np.ndarray:
 
 
 def random_masks(n_grid: int, p: int, n_draws: int, rng) -> np.ndarray:
-    """(n_draws, N) stack of uniformly drawn P-sensor masks."""
+    """(n_draws, N) stack of uniformly drawn P-sensor masks, at most one
+    streamed enumeration block of cells."""
+    limit = enumeration._BLOCK_CELLS // n_grid
+    if not 1 <= n_draws <= limit:
+        raise ValueError(f"n_random must be in [1, {limit}] on {n_grid} sensors, got {n_draws}")
     out = np.zeros((n_draws, n_grid), dtype=int)
     for i in range(n_draws):
         out[i, rng.choice(n_grid, size=p, replace=False)] = 1
@@ -363,12 +373,13 @@ class RobustnessResult:
 
 
 def snapshot_robustness(cfg: ExperimentConfig, model, part: str = "test") -> RobustnessResult:
-    """How much finite-sample features move a trained model's selections.
+    """How much finite-sample features move a trained selector's selections.
 
-    Runs the identical scenario sequence twice, feeding the model exact lag
-    features and n_snapshots-estimate features, and scores both selected
-    configurations on the exact matrices. diffs_db[i] is exact-feature SINR
-    minus estimate-feature SINR for scenario i (sign kept; positive means the
+    `model` is a list of networks, as load_model returns. Runs the identical
+    scenario sequence twice, feeding the networks exact lag features and
+    n_snapshots-estimate features, and scores both selected configurations
+    on the exact matrices. diffs_db[i] is exact-feature SINR minus
+    estimate-feature SINR for scenario i (sign kept; positive means the
     estimate cost performance).
     """
     if cfg.n_snapshots is None:
@@ -419,10 +430,11 @@ def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
     """Score selection methods against the enumeration optimum per scenario.
 
     `methods` mixes built-in names (sbsa, nnc, compact_ula, sparse_ula,
-    random, worst_case) with keys of `models` (trained networks, decoded
-    top-P). Every method's configuration is scored with the scorer that
-    found the optimum, and any method beating the enumerated optimum by more
-    than the relative tie band is a hard error.
+    random, worst_case) with keys of `models` (each a list of trained
+    networks, as load_model returns, whose mean scores are decoded top-P).
+    Every method's configuration is scored with the scorer that found the
+    optimum, and any method beating the enumerated optimum by more than the
+    relative tie band is a hard error.
     """
     models = models or {}
     for m in methods:

@@ -1,11 +1,15 @@
 """Feedforward selection network, trained from correlation-lag features.
 
 Everything lives on numpy: Xavier-uniform init, ReLU hidden layers with
-inverted dropout, a linear output head trained under mean squared error
-against 0/1 selection masks, and ADAM with bias correction. The network
+inverted dropout in training, a linear output head trained under mean squared
+error against 0/1 selection masks, and ADAM with bias correction. The network
 scores each grid location; a P-sensor configuration is read off as the
 top-P scores. Feature standardization (per-feature mean/scale learned on the
 training split) is stored inside the model so inference takes raw features.
+
+A trained selector is a list of identically shaped networks, independent
+restarts that disagree mostly near a decision boundary, so predict_selection's
+mean of their scores recovers a few points of exact-match rate over one net.
 
 Training computes in float32 (COMPUTE_DTYPE) in buffers allocated once per
 fit; checkpoints are scored, stored and evaluated in float64, so model files
@@ -87,33 +91,6 @@ def init_model(layer_sizes, seed: int = 0) -> MlpModel:
     return MlpModel(layer_sizes=sizes, weights=weights, biases=biases)
 
 
-@dataclass
-class EnsembleModel:
-    """Bag of identically shaped networks; scores are averaged at inference.
-
-    Independent random restarts disagree mostly on scenarios near a decision
-    boundary, so the averaged scores recover a few points of exact-match rate
-    over any single member.
-    """
-
-    members: list[MlpModel]
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("an ensemble needs at least one member")
-        sizes = self.members[0].layer_sizes
-        if any(m.layer_sizes != sizes for m in self.members):
-            raise ValueError("ensemble members must share layer sizes")
-
-    @property
-    def layer_sizes(self) -> list[int]:
-        return self.members[0].layer_sizes
-
-    @property
-    def n_members(self) -> int:
-        return len(self.members)
-
-
 def _normalize_power(x: np.ndarray) -> np.ndarray:
     lead = x[:, :1]
     denom = np.where(np.abs(lead) < _SCALE_FLOOR, 1.0, lead)
@@ -128,26 +105,15 @@ def _standardize(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return (x - model.feature_mean) / model.feature_scale
 
 
-def forward(model, x, *, keep_prob: float = 1.0, dropout_masks=None) -> np.ndarray:
-    """Network scores for a batch of raw feature vectors, shape (B, n_out).
-
-    Computes in float64. Inference drops nothing; pass keep_prob < 1 with
-    fixed 0/1 masks for a pass with inverted dropout after each hidden ReLU.
-    An EnsembleModel returns the mean of its members' scores (inference
-    only).
-    """
-    if isinstance(model, EnsembleModel):
-        if keep_prob < 1.0 or dropout_masks is not None:
-            raise ValueError("ensembles are inference-only; train members individually")
-        return np.mean([forward(m, x) for m in model.members], axis=0)
-    a = _standardize(model, np.atleast_2d(np.asarray(x, dtype=float)))
-    last = model.n_layers - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+def forward(net: MlpModel, x) -> np.ndarray:
+    """One network's scores for a batch of raw feature vectors, shape
+    (B, n_out); a 1-D input gives one row. Computes in float64."""
+    a = _standardize(net, np.atleast_2d(np.asarray(x, dtype=float)))
+    last = net.n_layers - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         a = a @ w + b
         if i < last:
             a = np.maximum(a, 0.0)
-            if keep_prob < 1.0 and dropout_masks is not None:
-                a = a * dropout_masks[i] / keep_prob
     return a[0] if np.asarray(x).ndim == 1 else a
 
 
@@ -389,8 +355,7 @@ def split_train_validation(n: int, validation_fraction: float, rng,
 # with TrainingDivergedError; numpy's warnings about it would only be noise
 @np.errstate(over="ignore", invalid="ignore")
 def train(features, labels, cfg: TrainConfig | None = None,
-          scenario_ids=None, initial_model: MlpModel | None = None,
-          split=None) -> TrainResult:
+          scenario_ids=None, split=None) -> TrainResult:
     """Fit the selection network; early-stops on validation loss.
 
     features: (B, 2N-1) raw lag features; labels: (B, N) 0/1 masks. Keeps the
@@ -404,11 +369,9 @@ def train(features, labels, cfg: TrainConfig | None = None,
     validation rows with forward/predict_selection; the returned model is
     float64.
 
-    initial_model warm-starts from an existing model instead of a fresh
-    Xavier init; its standardization stats are kept so the feature space
-    stays consistent across phases. split is a precomputed (train_idx,
-    val_idx) pair; it must be the split_train_validation result for
-    cfg.split_seed, which an ensemble computes once for all its members.
+    split is a precomputed (train_idx, val_idx) pair; it must be the
+    split_train_validation result for cfg.split_seed, which train_ensemble
+    computes once for all its members.
     """
     t0 = time.perf_counter()
     cfg = cfg or TrainConfig()
@@ -427,25 +390,12 @@ def train(features, labels, cfg: TrainConfig | None = None,
     x_tr, y_tr = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
 
-    if initial_model is not None:
-        if (initial_model.layer_sizes[0] != sizes[0]
-                or initial_model.layer_sizes[-1] != sizes[-1]):
-            raise ValueError("initial_model layer sizes do not match the data")
-        model = MlpModel(
-            layer_sizes=list(initial_model.layer_sizes),
-            weights=initial_model.weights, biases=initial_model.biases,
-            feature_mean=None if initial_model.feature_mean is None
-            else initial_model.feature_mean.copy(),
-            feature_scale=None if initial_model.feature_scale is None
-            else initial_model.feature_scale.copy(),
-            normalize_power=initial_model.normalize_power)
-    else:
-        model = init_model(sizes, seed=cfg.rng_seed)
-        model.normalize_power = cfg.normalize_power
-        if cfg.standardize_features:
-            base = _normalize_power(x_tr) if model.normalize_power else x_tr
-            model.feature_mean = base.mean(axis=0)
-            model.feature_scale = np.maximum(base.std(axis=0), _SCALE_FLOOR)
+    model = init_model(sizes, seed=cfg.rng_seed)
+    model.normalize_power = cfg.normalize_power
+    if cfg.standardize_features:
+        base = _normalize_power(x_tr) if model.normalize_power else x_tr
+        model.feature_mean = base.mean(axis=0)
+        model.feature_scale = np.maximum(base.std(axis=0), _SCALE_FLOOR)
 
     # the steps update the float32 parameters in place, through per-layer views
     params = np.concatenate([a.ravel() for pair in zip(model.weights, model.biases)
@@ -489,7 +439,7 @@ def train(features, labels, cfg: TrainConfig | None = None,
                     f"non-finite validation loss at epoch {epoch}")
             if cfg.monitor == "selection":
                 p = int(round(float(y_val[0].sum())))
-                chosen = predict_selection(model, x_val, p)
+                chosen = predict_selection([model], x_val, p)
                 acc = float((chosen == y_val).all(axis=1).mean())
                 # exact-match first, validation loss breaks the ties the
                 # coarse rate leaves behind
@@ -515,22 +465,16 @@ def train(features, labels, cfg: TrainConfig | None = None,
     return result
 
 
-@dataclass
-class EnsembleResult:
-    model: EnsembleModel
-    members: list[TrainResult] = field(default_factory=list)
-
-
 def train_ensemble(features, labels, cfg: TrainConfig | None = None,
-                   n_members: int = 5, scenario_ids=None) -> EnsembleResult:
-    """Independent restarts averaged into one scorer.
+                   n_members: int = 5, scenario_ids=None) -> list[TrainResult]:
+    """Independent restarts, one TrainResult each.
 
     Member i trains with rng_seed cfg.rng_seed + i; every member shares one
     train/validation split (cfg.split_seed, falling back to cfg.rng_seed) so
     all checkpoints are selected against the same held-out rows.
     """
     if n_members < 1:
-        raise ValueError("n_members must be >= 1")
+        raise ValueError(f"ensemble size must be >= 1, got {n_members}")
     cfg = cfg or TrainConfig()
     split_seed = cfg.split_seed if cfg.split_seed is not None else cfg.rng_seed
     split = split_train_validation(len(features), cfg.validation_fraction,
@@ -540,18 +484,15 @@ def train_ensemble(features, labels, cfg: TrainConfig | None = None,
         member_cfg = replace(cfg, rng_seed=cfg.rng_seed + i, split_seed=split_seed)
         members.append(train(features, labels, member_cfg, scenario_ids=scenario_ids,
                              split=split))
-    return EnsembleResult(model=EnsembleModel([r.model for r in members]),
-                          members=members)
+    return members
 
 
-def predict_selection(model, features, p: int) -> np.ndarray:
-    """Top-P decode of network scores into a 0/1 mask (ties: lower index).
-
-    2-D input gives one mask per row.
-    """
+def predict_selection(nets: list[MlpModel], features, p: int) -> np.ndarray:
+    """Top-P decode of the networks' mean scores into a 0/1 mask (ties: lower
+    index); 2-D input gives one mask per row."""
     x = np.asarray(features, dtype=float)
     single = x.ndim == 1
-    scores = np.atleast_2d(forward(model, x))
+    scores = np.atleast_2d(np.mean([forward(net, x) for net in nets], axis=0))
     n = scores.shape[1]
     if not 1 <= p <= n:
         raise ValueError(f"P must satisfy 1 <= P <= {n}")
@@ -616,32 +557,31 @@ def _read_single(fh: _ModelBytes) -> MlpModel:
                     normalize_power=bool(flags & 2))
 
 
-def save_model(path, model) -> None:
+def save_model(path, nets: list[MlpModel]) -> None:
     """Binary weights file plus a JSON sidecar (path + ".json").
 
     Single-network layout: magic, then format, layer count, layer sizes, a
     preprocessing flag byte (bit 0: standardized, bit 1: power-normalized),
     then float64 little-endian arrays: per layer W (row-major) and b, then
-    feature mean and scale when present. An EnsembleModel uses its own magic
-    followed by a member count and that many single-network blocks.
+    feature mean and scale when present. Two or more networks use their own
+    magic followed by a count and that many single-network blocks.
     """
-    lead = model.members[0] if isinstance(model, EnsembleModel) else model
+    lead = nets[0]
     with open(path, "wb") as fh:
-        if isinstance(model, EnsembleModel):
-            fh.write(_MAGIC_ENSEMBLE)
-            fh.write(struct.pack("<I", model.n_members))
-            for member in model.members:
-                _write_single(fh, member)
-        else:
+        if len(nets) == 1:
             fh.write(_MAGIC)
-            _write_single(fh, model)
+        else:
+            fh.write(_MAGIC_ENSEMBLE)
+            fh.write(struct.pack("<I", len(nets)))
+        for net in nets:
+            _write_single(fh, net)
     n_params = sum(w.size + b.size for w, b in zip(lead.weights, lead.biases))
     sidecar = {
         "format": _FORMAT,
         "layer_sizes": list(lead.layer_sizes),
         "standardized_features": lead.feature_mean is not None,
         "power_normalized": lead.normalize_power,
-        "ensemble_members": model.n_members if isinstance(model, EnsembleModel) else 1,
+        "ensemble_members": len(nets),
         "parameters": int(n_params),
     }
     with open(str(path) + ".json", "w") as fh:
@@ -649,23 +589,24 @@ def save_model(path, model) -> None:
         fh.write("\n")
 
 
-def load_model(path):
-    """Read a save_model file; a malformed or truncated one is a ValueError.
-
-    The whole file is read first, so sizes in a corrupt header can make a
-    read come up short but never allocate more than the file holds.
-    """
+def load_model(path) -> list[MlpModel]:
+    """The networks of a save_model file; a truncated, malformed or mixed-shape
+    file is a ValueError. The whole file is read first, so sizes in a corrupt
+    header can make a read come up short but never allocate more than it holds."""
     with open(path, "rb") as raw:
         fh = _ModelBytes(raw.read())
     magic = fh.read(4)
     if magic == _MAGIC:
-        return _read_single(fh)
-    if magic == _MAGIC_ENSEMBLE:
-        (count,) = struct.unpack("<I", fh.read(4))
-        if not 1 <= count <= 4096:
-            raise ValueError(f"implausible ensemble member count {count}")
-        return EnsembleModel([_read_single(fh) for _ in range(count)])
-    raise ValueError("not a model file")
+        return [_read_single(fh)]
+    if magic != _MAGIC_ENSEMBLE:
+        raise ValueError("not a model file")
+    (count,) = struct.unpack("<I", fh.read(4))
+    if not 1 <= count <= 4096:
+        raise ValueError(f"implausible ensemble member count {count}")
+    nets = [_read_single(fh) for _ in range(count)]
+    if any(net.layer_sizes != nets[0].layer_sizes for net in nets):
+        raise ValueError("ensemble members must share layer sizes")
+    return nets
 
 
 def write_dataset_csv(path, records) -> int:

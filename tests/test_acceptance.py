@@ -201,11 +201,12 @@ def pipeline():
     tcfg = mlp.TrainConfig(rng_seed=1, split_seed=0, patience=80,
                            max_epochs=600, batch_size=64, learning_rate=5e-4,
                            monitor="selection")
-    ens = mlp.train_ensemble(x, y, tcfg, n_members=5, scenario_ids=sids)
+    nets = [r.model for r in mlp.train_ensemble(x, y, tcfg, n_members=5,
+                                                  scenario_ids=sids)]
     index = nnc.NncIndex(x, y.astype(int))
-    result = harness.evaluate(cfg, ["dnn", "nnc"], models={"dnn": ens.model},
+    result = harness.evaluate(cfg, ["dnn", "nnc"], models={"dnn": nets},
                               nnc_index=index, part="test")
-    return SimpleNamespace(cfg=cfg, model=ens.model, result=result,
+    return SimpleNamespace(cfg=cfg, model=nets, result=result,
                            runtime_s=time.perf_counter() - t0)
 
 
@@ -265,7 +266,7 @@ def test_criterion_8_property_suites():
         assert sbsa.omega(mask, geom, noise_only, k) == pytest.approx(0.0, abs=1e-12)
 
         net = mlp.init_model([5, 10], seed=trial)
-        pred = mlp.predict_selection(net, rng.normal(size=(4, 5)), p)
+        pred = mlp.predict_selection([net], rng.normal(size=(4, 5)), p)
         assert np.all(pred.sum(axis=1) == p)
 
         snaps = snapshots.simulate_snapshots(geom, scn, 64, seed=trial)
@@ -311,9 +312,9 @@ def test_full_scale_benchmark():
             tcfg = mlp.TrainConfig(rng_seed=1, split_seed=0, patience=80,
                                    max_epochs=600, batch_size=64,
                                    learning_rate=5e-4, monitor="selection")
-            ens = mlp.train_ensemble(x, y, tcfg, n_members=5,
-                                     scenario_ids=sids)
-            models[name] = ens.model
+            results = mlp.train_ensemble(x, y, tcfg, n_members=5,
+                                         scenario_ids=sids)
+            models[name] = [r.model for r in results]
             if source == "enumeration":
                 index = nnc.NncIndex(x, y.astype(int))
         res = harness.evaluate(cfg, ["dnn_en", "dnn_sbsa", "nnc", "sbsa",

@@ -95,6 +95,18 @@ def test_output_sinr_scale_invariance():
     assert a == pytest.approx(b, rel=1e-12)
 
 
+def test_weights_reject_higher_rank_source_matrix():
+    geom, scn = build(l_count=2, seed=4)
+    r_s, _, r_xx = scene.correlation_matrices(geom, scn)
+    # a second source direction makes R_s rank two
+    v = scene.steering_vector(geom, 100.0)
+    r_s2 = r_s + np.outer(v, v.conj())
+    with pytest.raises(ValueError, match="rank one"):
+        beamformer.max_sinr_weights(r_s2, r_xx)
+    with pytest.raises(ValueError, match="rank one"):
+        beamformer.max_sinr_weights(r_s2, r_xx, mask=[1, 0, 1, 1, 0, 1, 0, 0, 1, 0])
+
+
 def test_output_sinr_rejects_zero_weights():
     geom, scn = build(l_count=1, seed=7)
     r_s, r_sn, _ = scene.correlation_matrices(geom, scn)

@@ -60,7 +60,7 @@ def test_train_command_writes_loadable_model(config_path, tmp_path):
                    "--batch-size", "4", "--patience", "2", "--seed", "1",
                    "--monitor", "selection", "--split-seed", "0"])
     assert rc == 0
-    model = mlp.load_model(out / "net.bin")
+    (model,) = mlp.load_model(out / "net.bin")
     assert model.layer_sizes == [15, 10, 8]
     assert model.normalize_power
     with open(out / "train_manifest.json") as fh:
@@ -78,8 +78,8 @@ def test_train_command_writes_loadable_model(config_path, tmp_path):
                    "--hidden", "6", "--epochs", "2", "--batch-size", "4",
                    "--seed", "1", "--ensemble", "2"])
     assert rc == 0
-    ens = mlp.load_model(out / "ens.bin")
-    assert isinstance(ens, mlp.EnsembleModel) and ens.n_members == 2
+    nets = mlp.load_model(out / "ens.bin")
+    assert len(nets) == 2 and nets[0].layer_sizes == nets[1].layer_sizes == [15, 6, 8]
 
 
 def test_eval_command_scores_model_and_nnc(config_path, tmp_path, capsys):
@@ -192,7 +192,7 @@ def test_truncated_model_file_exit_code_two(config_path, tmp_path, capsys):
     # cuts inside the magic, the header (format, layer count, member count,
     # layer sizes) and the payload, of a single network and of an ensemble
     net = mlp.init_model([15, 6, 8], seed=0)
-    for name, model in (("net.bin", net), ("ens.bin", mlp.EnsembleModel([net, net]))):
+    for name, model in (("net.bin", [net]), ("ens.bin", [net, net])):
         whole = tmp_path / name
         mlp.save_model(whole, model)
         blob = whole.read_bytes()
@@ -252,6 +252,19 @@ def test_train_rejects_bad_dataset_rows(config_path, tmp_path, capsys, corrupt):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "line 4" in err and err.count("\n") == 1
+    assert not (tmp_path / "fit" / "model.bin").exists()
+
+
+@pytest.mark.parametrize("size", ["0", "-4"])
+def test_train_rejects_ensemble_below_one(config_path, tmp_path, capsys, size):
+    data = tmp_path / "data"
+    cli.main(["gen-data", config_path, "--part", "train", "--out-dir", str(data)])
+    capsys.readouterr()
+    rc = cli.main(["train", str(data / "train.csv"), "--hidden", "4", "--epochs", "1",
+                   "--ensemble", size, "--out-dir", str(tmp_path / "fit")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: ensemble size must be >= 1, got {size}\n"
     assert not (tmp_path / "fit" / "model.bin").exists()
 
 
@@ -348,6 +361,8 @@ def test_sbsa_charges_first_greedy_step_to_budget(scenario_path, tmp_path, capsy
     pytest.param('"interferer_grid_deg": [10, 170, 1e-9]', id="grid-step-tiny"),
     pytest.param('"n_interferers_range": [1, 2.5]', id="n_interferers-float"),
     pytest.param('"toeplitz_average": "no"', id="toeplitz-string"),
+    pytest.param('"n_grid": 100000', id="n_grid-huge"),
+    pytest.param('"n_snapshots": 10000000000', id="n_snapshots-huge"),
 ])
 def test_bad_config_exits_two_without_data(tmp_path, override):
     # the last duplicate key wins, so the override replaces the base value;
@@ -360,6 +375,40 @@ def test_bad_config_exits_two_without_data(tmp_path, override):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("label_source", ["enumeration", "sbsa"])
+@pytest.mark.parametrize("size", [
+    pytest.param(f'"n_grid": {harness.MAX_GRID}', id="n_grid"),
+    pytest.param(f'"n_grid": 8, "n_snapshots": {harness.MAX_SNAPSHOT_CELLS // 8}',
+                 id="snapshot-cells"),
+])
+def test_config_at_size_bounds_runs_in_bounded_memory(tmp_path, size, label_source):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n_select": 2, "look_doas_deg": [60.0], "n_train_per_look": 1, '
+                    f'"n_test_per_look": 1, "seed": 5, "label_source": "{label_source}", '
+                    f'{size}}}')
+    proc = run_capped(["gen-data", str(path), "--out-dir", str(tmp_path / "out")])
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 3:
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("n_random", ["0", "-2", "1000000000"])
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_n_random_out_of_range_exits_two(config_path, scenario_path, tmp_path,
+                                         command, n_random):
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", config_path, "--methods", "random"]
+    else:
+        argv = ["compare", scenario_path, "--n-grid", "8", "--n-select", "3"]
+    proc = run_capped([*argv, "--n-random", n_random, "--out-dir", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: n_random must be in [1, ")
+    assert not list(out.glob("*.csv"))
 
 
 def test_every_manifest_has_provenance_keys(config_path, scenario_path, tmp_path):

@@ -152,7 +152,7 @@ def test_finite_sample_trial_gap_is_nonnegative():
 
 def test_snapshot_robustness_pairs_streams():
     cfg = tiny_config(n_snapshots=512, n_test_per_look=6)
-    model = mlp.init_model([2 * cfg.n_grid - 1, 10, cfg.n_grid], seed=0)
+    model = [mlp.init_model([2 * cfg.n_grid - 1, 10, cfg.n_grid], seed=0)]
     res = harness.snapshot_robustness(cfg, model, part="test")
     assert res.diffs_db.shape == (6,)
     assert 0.0 <= res.mask_match_rate <= 1.0
@@ -166,7 +166,7 @@ def test_evaluate_audits_and_summarizes(tmp_path):
     train = list(harness.scenario_stream(cfg, "train"))
     x = np.stack([ex.features for ex in train])
     index = nnc.NncIndex(x, np.stack([ex.label_mask for ex in train]))
-    model = mlp.init_model([2 * cfg.n_grid - 1, 10, cfg.n_grid], seed=1)
+    model = [mlp.init_model([2 * cfg.n_grid - 1, 10, cfg.n_grid], seed=1)]
     methods = ["dnn", "sbsa", "nnc", "compact_ula", "sparse_ula", "random",
                "worst_case"]
     result = harness.evaluate(cfg, methods, models={"dnn": model},

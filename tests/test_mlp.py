@@ -20,6 +20,14 @@ def toy_dataset(n=64, n_features=9, n_out=5, seed=0):
     return x, y
 
 
+def top_p(scores, p):
+    """0/1 rows marking each row's p highest scores, lower index first on ties."""
+    order = np.argsort(-scores, axis=1, kind="stable")[:, :p]
+    masks = np.zeros(scores.shape, dtype=int)
+    np.put_along_axis(masks, order, 1, axis=1)
+    return masks
+
+
 def test_extract_features_matrix_and_vector_agree():
     geom = scene.ArrayGeometry(n_grid=6)
     scn = scene.Scenario(
@@ -139,19 +147,8 @@ def test_selection_monitor_tracks_exact_match():
                           validation_fraction=0.2, rng_seed=2,
                           monitor="selection")
     res = mlp.train(x, y, cfg)
-    pred = mlp.predict_selection(res.model, x, 2)
+    pred = mlp.predict_selection([res.model], x, 2)
     assert (pred == y).all(axis=1).mean() == 1.0
-
-
-def test_warm_start_continues_from_given_weights():
-    x, y = toy_dataset(n=40, seed=8)
-    cfg = mlp.TrainConfig(hidden_sizes=(16,), max_epochs=30, patience=30,
-                          validation_fraction=0.0, rng_seed=3)
-    first = mlp.train(x, y, cfg)
-    second = mlp.train(x, y, cfg, initial_model=first.model)
-    assert second.train_losses[0] < first.train_losses[0] * 0.8
-    with pytest.raises(ValueError):
-        mlp.train(x[:, :5], y, cfg, initial_model=first.model)
 
 
 def test_predict_selection_cardinality_and_stable_ties():
@@ -159,11 +156,11 @@ def test_predict_selection_cardinality_and_stable_ties():
     model.weights[0][:] = 0.0
     model.biases[0][:] = np.array([1.0, 1.0, 0.0])
     x = np.ones((2, 4))
-    pred = mlp.predict_selection(model, x, 1)
+    pred = mlp.predict_selection([model], x, 1)
     assert pred.sum() == 2
     assert np.all(pred[:, 0] == 1)  # earliest index wins exact ties
     with pytest.raises(ValueError):
-        mlp.predict_selection(model, x, 5)
+        mlp.predict_selection([model], x, 5)
 
 
 def test_power_normalization_makes_scaled_inputs_equivalent():
@@ -182,34 +179,33 @@ def test_train_ensemble_averages_member_scores():
     x, y = toy_dataset(n=40, seed=11)
     cfg = mlp.TrainConfig(hidden_sizes=(10,), max_epochs=8, patience=8,
                           validation_fraction=0.0, rng_seed=2)
-    ens = mlp.train_ensemble(x, y, cfg, n_members=3)
-    assert ens.model.n_members == len(ens.members) == 3
-    # members differ (independent inits) but the ensemble is their mean
-    assert not np.array_equal(ens.model.members[0].weights[0],
-                              ens.model.members[1].weights[0])
-    expect = np.mean([mlp.forward(m, x) for m in ens.model.members], axis=0)
-    assert np.allclose(mlp.forward(ens.model, x), expect, rtol=0, atol=0)
-    pred = mlp.predict_selection(ens.model, x, 2)
+    nets = [r.model for r in mlp.train_ensemble(x, y, cfg, n_members=3)]
+    assert len(nets) == 3
+    # members differ (independent inits) but the selection decodes their mean
+    assert not np.array_equal(nets[0].weights[0], nets[1].weights[0])
+    expect = np.mean([mlp.forward(m, x) for m in nets], axis=0)
+    pred = mlp.predict_selection(nets, x, 2)
     assert np.all(pred.sum(axis=1) == 2)
-    with pytest.raises(ValueError):
-        mlp.forward(ens.model, x, keep_prob=0.5)
-    with pytest.raises(ValueError):
+    assert np.array_equal(pred, top_p(expect, 2))
+    # one network decodes its own scores
+    assert np.array_equal(mlp.predict_selection(nets[:1], x, 2),
+                          top_p(mlp.forward(nets[0], x), 2))
+    with pytest.raises(ValueError, match="ensemble size"):
         mlp.train_ensemble(x, y, cfg, n_members=0)
-    with pytest.raises(ValueError):
-        mlp.EnsembleModel([])
 
 
 def test_ensemble_file_round_trip(tmp_path):
     x, y = toy_dataset(n=30, seed=12)
     cfg = mlp.TrainConfig(hidden_sizes=(8,), max_epochs=5, patience=5,
                           validation_fraction=0.0, rng_seed=6)
-    ens = mlp.train_ensemble(x, y, cfg, n_members=2)
+    nets = [r.model for r in mlp.train_ensemble(x, y, cfg, n_members=2)]
     path = tmp_path / "ens.bin"
-    mlp.save_model(path, ens.model)
+    mlp.save_model(path, nets)
     back = mlp.load_model(path)
-    assert isinstance(back, mlp.EnsembleModel)
-    assert back.n_members == 2
-    assert np.array_equal(mlp.forward(back, x), mlp.forward(ens.model, x))
+    assert path.read_bytes()[:4] == b"MLPE"
+    assert len(back) == 2
+    for got, net in zip(back, nets):
+        assert np.array_equal(mlp.forward(got, x), mlp.forward(net, x))
     with open(f"{path}.json") as fh:
         assert json.load(fh)["ensemble_members"] == 2
 
@@ -220,8 +216,9 @@ def test_model_file_round_trip(tmp_path):
                           validation_fraction=0.0, rng_seed=5)
     res = mlp.train(x, y, cfg)
     path = tmp_path / "model.bin"
-    mlp.save_model(path, res.model)
-    back = mlp.load_model(path)
+    mlp.save_model(path, [res.model])
+    (back,) = mlp.load_model(path)
+    assert path.read_bytes()[:4] == b"MLPB"
     assert back.layer_sizes == res.model.layer_sizes
     assert back.normalize_power == res.model.normalize_power
     assert np.array_equal(mlp.forward(back, x), mlp.forward(res.model, x))
@@ -285,15 +282,17 @@ def test_float32_trained_models_round_trip_bit_exact(tmp_path):
                               standardize_features=bool(trial % 3),
                               normalize_power=trial < 3)
         if n_members == 1:
-            model = mlp.train(x, y, cfg).model
+            nets = [mlp.train(x, y, cfg).model]
         else:
-            model = mlp.train_ensemble(x, y, cfg, n_members=n_members).model
+            nets = [r.model for r in mlp.train_ensemble(x, y, cfg, n_members=n_members)]
         path = tmp_path / f"model{trial}.bin"
-        mlp.save_model(path, model)
+        mlp.save_model(path, nets)
         back = mlp.load_model(path)
         probe = rng.normal(1.0, 0.5, size=(11, n_feat))
-        assert type(back) is type(model)
-        assert np.array_equal(mlp.forward(back, probe), mlp.forward(model, probe))
+        assert path.read_bytes()[:4] == (b"MLPB" if n_members == 1 else b"MLPE")
+        assert len(back) == len(nets)
+        for got, net in zip(back, nets):
+            assert np.array_equal(mlp.forward(got, probe), mlp.forward(net, probe))
 
 
 def test_loads_float64_ensemble_file(tmp_path):
@@ -315,16 +314,24 @@ def test_loads_float64_ensemble_file(tmp_path):
     back = mlp.load_model(path)
     mlp.save_model(tmp_path / "again.bin", back)
     assert (tmp_path / "again.bin").read_bytes() == blob
-    assert isinstance(back, mlp.EnsembleModel) and back.n_members == 2
-    for net, arrays in zip(back.members, members):
+    assert len(back) == 2
+    for net, arrays in zip(back, members):
         got = [net.weights[0], net.biases[0], net.weights[1], net.biases[1],
                net.feature_mean, net.feature_scale]
         assert all(np.array_equal(a, b) for a, b in zip(got, arrays))
         assert net.normalize_power
         assert np.any(arrays[0] != arrays[0].astype(np.float32))
     x = rng.normal(size=(7, 5))
-    expect = np.mean([mlp.forward(m, x) for m in back.members], axis=0)
-    assert np.array_equal(mlp.forward(back, x), expect)
+    expect = np.mean([mlp.forward(m, x) for m in back], axis=0)
+    assert np.array_equal(mlp.predict_selection(back, x, 2), top_p(expect, 2))
+    # the loader refuses a member count of 0 and members of unequal shapes
+    (tmp_path / "empty.bin").write_bytes(b"MLPE" + struct.pack("<I", 0))
+    with pytest.raises(ValueError, match="member count 0"):
+        mlp.load_model(tmp_path / "empty.bin")
+    mlp.save_model(tmp_path / "mixed.bin", [mlp.init_model(sizes, seed=0),
+                                            mlp.init_model([5, 6, 3], seed=0)])
+    with pytest.raises(ValueError, match="share layer sizes"):
+        mlp.load_model(tmp_path / "mixed.bin")
 
 
 def test_split_train_validation_is_stratified_and_disjoint():
