@@ -6,12 +6,11 @@ is rank one and that eigenvector is the Capon direction R_xx^-1 s, computed by
 a Cholesky solve; a source matrix of higher rank is a ValueError. Weights are
 normalized so w^H R_s w = 1 with the first nonzero entry real-positive.
 
-Subset scoring, the inner loop of every selector, never forms a P x P
-matrix for an exact scene: subset_sinr_batch works in interferer space, with
-one real matmul of the 0/1 masks against a per-scene table (scene_terms) and
-an (L+1) x (L+1) LDL^H factorization per subset, vectorized over subsets.
-Sample covariances have no such structure; capon_quadratic_batch solves
-their P x P systems.
+Subset scoring, the inner loop of every selector and the one scorer behind
+every exact-scene SINR the package reports, never forms a P x P matrix:
+subset_sinr_batch works in interferer space, with one real matmul of the 0/1
+masks against a per-scene table (scene_terms) and an (L+1) x (L+1) LDL^H
+factorization per subset, vectorized over subsets.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class Sinr:
 
     @property
     def db(self) -> float:
-        return 10.0 * math.log10(self.linear)
+        return float(sinr_db(self.linear))
 
 
 def sinr_db(linear) -> np.ndarray:
@@ -212,6 +211,9 @@ def scene_terms(geom, scn) -> SceneTerms:
     )
 
 
+# an aliasing, far-above-noise interferer pair leaves a pivot at rounding level;
+# its division warnings are expected, and the result is checked instead
+@np.errstate(divide="ignore", invalid="ignore")
 def subset_sinr_batch(terms: SceneTerms, masks) -> np.ndarray:
     """Optimum linear SINR of each 0/1 mask row of an exact scene.
 
@@ -219,7 +221,8 @@ def subset_sinr_batch(terms: SceneTerms, masks) -> np.ndarray:
     selected sensors. With the ridge added to its first L diagonal entries it
     is [[sigma^2 diag(p)^-1 + G_J, b_J], [b_J^H, |s_J|^2]], and the last pivot
     of its LDL^H factorization, computed for all rows at once, is the Schur
-    complement |s_J|^2 - b_J^H (sigma^2 diag(p)^-1 + G_J)^-1 b_J.
+    complement |s_J|^2 - b_J^H (sigma^2 diag(p)^-1 + G_J)^-1 b_J. A score that
+    is not finite and positive (the pivot lost every digit) is a ValueError.
     """
     h = (np.asarray(masks, dtype=float) @ terms.table).view(complex)
     size = len(terms.ridge) + 1
@@ -238,18 +241,11 @@ def subset_sinr_batch(terms: SceneTerms, masks) -> np.ndarray:
             d = d - (scaled[i, k] * unit[i, k].conj()).real
         pivots.append(d)
         col += 1
-    return (terms.source_power / terms.noise_power) * pivots[-1]
-
-
-def capon_quadratic_batch(r: np.ndarray, steer: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """s_J^H (R_J)^-1 s_J for each index subset (rows of `subsets`) of any
-    covariance `r`, one P x P solve per subset; sample covariances have no
-    interferer structure for subset_sinr_batch to use."""
-    subsets = np.asarray(subsets, dtype=np.intp)
-    sub = r[subsets[:, :, None], subsets[:, None, :]]
-    sv = steer[subsets]
-    x = np.linalg.solve(sub, sv[..., None])[..., 0]
-    return np.einsum("ij,ij->i", sv.conj(), x).real
+    sinrs = (terms.source_power / terms.noise_power) * pivots[-1]
+    if not (sinrs.min() > 0.0 and sinrs.max() < np.inf):  # NaN fails both
+        raise ValueError("scene is numerically degenerate: a subset's SINR is not finite "
+                         "and positive (interferers alias at extreme power)")
+    return sinrs
 
 
 def masks_sinr(geom, scn, masks) -> np.ndarray:

@@ -109,12 +109,7 @@ def cmd_train(args) -> int:
         monitor=args.monitor,
     )
     t0 = time.perf_counter()
-    # train_ensemble seeds its own split generator; train draws from the fit's rng
-    if args.ensemble == 1:
-        results = [mlp.train(x, y, cfg, scenario_ids=sids)]
-    else:
-        results = mlp.train_ensemble(x, y, cfg, n_members=args.ensemble,
-                                     scenario_ids=sids)
+    results = mlp.train_ensemble(x, y, cfg, n_members=args.ensemble, scenario_ids=sids)
     model_path = os.path.join(args.out_dir, args.model_name)
     mlp.save_model(model_path, [r.model for r in results])
     epochs = [r.best_epoch for r in results]
@@ -153,6 +148,11 @@ def cmd_eval(args) -> int:
     nnc_index = None
     if args.train_dataset:
         x, y, _ = mlp.read_dataset_csv(args.train_dataset)
+        if x.shape[1] != 2 * cfg.n_grid - 1 or int(y[0].sum()) != cfg.n_select:
+            raise ValueError(
+                f"{args.train_dataset}: {x.shape[1]} features with {int(y[0].sum())}-sensor "
+                f"labels, but the config needs {2 * cfg.n_grid - 1} features "
+                f"(N = {cfg.n_grid}) with {cfg.n_select}-sensor labels")
         nnc_index = nnc.NncIndex(x, y.astype(int), metric=args.nnc_metric)
         if "nnc" not in methods:
             methods.append("nnc")
@@ -185,10 +185,12 @@ def cmd_sbsa(args) -> int:
         n_starts=args.n_starts,
         rng_seed=args.seed if args.seed is not None else 0,
     )
-    # the first greedy step holds starts x (N-1) candidate masks at once
+    # the first greedy step holds starts x (N-1) candidate masks at once, and
+    # omega_batch copies them to float64, so a mask costs 8 N cells, not N
     n, starts = geom.n_grid, len(cfg.resolve_starts(geom.n_grid))
-    enumeration.charge_budget(n, starts * (n - 1), args.budget,
-                              f"{starts} starts x {n - 1} = {starts * (n - 1)} candidate masks")
+    count = starts * (n - 1)
+    enumeration.charge_budget(8 * n, count, args.budget, f"{starts} starts x {n - 1} = "
+                              f"{count} candidate masks of {n} sensors in float64")
     result = sbsa.sbsa_select(geom, scn, args.n_select, cfg)
     print(f"mask={beamformer.mask_bits(result.mask)} sinr_db={result.sinr.db!r}")
     path = os.path.join(args.out_dir, "sbsa_starts.csv")
@@ -253,28 +255,23 @@ def cmd_compare(args) -> int:
     geom, scn = _load_scene(args)
     p = args.n_select
     best = enumeration.enumerate_best(geom, scn, p, budget=args.budget)
-    entries = [("enumeration", best.mask)]
-    entries.append(("sbsa", sbsa.sbsa_select(geom, scn, p).mask))
-    entries.append(("compact_ula", harness.compact_ula_mask(geom.n_grid, p)))
-    entries.append(("sparse_ula", harness.sparse_ula_mask(geom.n_grid, p)))
-    entries.append(("worst_case", harness.worst_case_mask(geom, scn, p)))
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    draws = harness.random_masks(geom.n_grid, p, args.n_random, rng)
+    masks = {m: harness.method_mask(m, geom, scn, p)
+             for m in ("sbsa", "compact_ula", "sparse_ula")}
+    masks["random"] = harness.random_masks(geom.n_grid, p, args.n_random, rng)
+    masks["worst_case"] = harness.method_mask("worst_case", geom, scn, p)
+    opt, vals = harness.score_methods(geom, scn, best.mask, masks, args.scenario)
 
-    rows = []
-    for name, mask in entries:
-        val = float(beamformer.masks_sinr(geom, scn, mask[None, :])[0])
-        rows.append((name, beamformer.mask_bits(mask), beamformer.sinr_db(val)))
-    rand_db = float(np.mean(beamformer.sinr_db(beamformer.masks_sinr(geom, scn, draws))))
-    rows.insert(4, ("random", "", rand_db))
-
+    opt_db = float(beamformer.sinr_db(opt))
+    rows = [("enumeration", beamformer.mask_bits(best.mask), opt_db)]
+    rows += [(m, "" if m == "random" else beamformer.mask_bits(masks[m]),
+              float(np.mean(beamformer.sinr_db(vals[m])))) for m in masks]
     path = os.path.join(args.out_dir, "compare.csv")
-    opt_db = rows[0][2]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["method", "mask_bits", "sinr_db", "gap_db"])
         for name, bits, db in rows:
-            w.writerow([name, bits, repr(float(db)), repr(float(opt_db - db))])
+            w.writerow([name, bits, repr(db), repr(opt_db - db)])
     for name, bits, db in rows:
         label = f" {bits}" if bits else ""
         print(f"{name:>12}: {db:8.3f} dB (gap {opt_db - db:.3f} dB){label}")

@@ -35,7 +35,7 @@ _BLOCK_CELLS = 1 << 21
 
 class BudgetExceededError(RuntimeError):
     def __init__(self, n: int, what: str, count: int, budget: int):
-        wide = f" of {n} sensors (each counted {n}/{BUDGET_GRID} times)" if n > BUDGET_GRID else ""
+        wide = f" (each counted {n}/{BUDGET_GRID} times)" if n > BUDGET_GRID else ""
         super().__init__(f"{what}{wide} exceeds the enumeration budget of {budget}")
         self.count = count
         self.budget = budget
@@ -93,7 +93,7 @@ def subset_unrank(rank: int, n: int, p: int) -> tuple[int, ...]:
 
 
 def charge_budget(n: int, count: int, budget: int, what: str) -> None:
-    """Raise BudgetExceededError when `count` masks of `n` sensors, `what`,
+    """Raise BudgetExceededError when `count` masks of `n` cells each, `what`,
     cost more than `budget`."""
     if count * max(n, BUDGET_GRID) > budget * BUDGET_GRID:
         raise BudgetExceededError(n, what, count, budget)
@@ -103,7 +103,7 @@ def _check_budget(n: int, p: int, budget: int) -> int:
     if not 1 <= p <= n:
         raise ValueError(f"P must satisfy 1 <= P <= N, got P={p}, N={n}")
     count = math.comb(n, p)
-    charge_budget(n, count, budget, f"C({n},{p}) = {count} subsets")
+    charge_budget(n, count, budget, f"C({n},{p}) = {count} subsets of {n} sensors")
     return count
 
 
@@ -139,20 +139,21 @@ def _subset_chunks(n: int, p: int):
         start += len(block)
 
 
-def scan_subsets(n: int, p: int, score, worst: bool = False,
-                 budget: int = DEFAULT_BUDGET) -> tuple[int, np.ndarray, float]:
-    """(rank, 0/1 mask, score) of the subset with the highest score, or the
-    lowest with `worst`; `score(indices, masks)` rates one chunk.
+def scan_subsets(geom, scn, p: int, worst: bool = False,
+                 budget: int = DEFAULT_BUDGET) -> RankedConfiguration:
+    """The subset of highest output SINR, or the lowest with `worst`, scored
+    chunk by chunk with beamformer.subset_sinr_batch.
 
     A configuration and its grid-reversed mirror score the same in exact
     arithmetic but differ by ~1e-14 in floats, so the first subset in
     lexicographic order within the relative tie band of the extreme wins,
     whatever the chunking.
     """
-    _check_budget(n, p, budget)
+    _check_budget(geom.n_grid, p, budget)
+    terms = beamformer.scene_terms(geom, scn)
     kept = None
-    for start, subsets, masks in _subset_chunks(n, p):
-        vals = score(subsets, masks)
+    for start, _, masks in _subset_chunks(geom.n_grid, p):
+        vals = beamformer.subset_sinr_batch(terms, masks)
         if worst:
             k = int(np.argmax(vals <= vals.min() * (1.0 + REL_TIE_TOL)))
             wins = kept is None or vals[k] < kept[2] * (1.0 - REL_TIE_TOL)
@@ -161,25 +162,17 @@ def scan_subsets(n: int, p: int, score, worst: bool = False,
             wins = kept is None or vals[k] > kept[2] * (1.0 + REL_TIE_TOL)
         if wins:
             kept = (start + k, masks[k].astype(int), float(vals[k]))
-    return kept
-
-
-def _scan_scene(geom, scn, p: int, worst: bool, budget: int) -> RankedConfiguration:
-    terms = beamformer.scene_terms(geom, scn)
-    rank, mask, val = scan_subsets(
-        geom.n_grid, p, lambda _, masks: beamformer.subset_sinr_batch(terms, masks),
-        worst=worst, budget=budget)
-    return RankedConfiguration(rank_id=rank, mask=mask, sinr=Sinr(val))
+    return RankedConfiguration(rank_id=kept[0], mask=kept[1], sinr=Sinr(kept[2]))
 
 
 def enumerate_best(geom, scn, p: int, budget: int = DEFAULT_BUDGET) -> RankedConfiguration:
     """Globally MaxSINR configuration; ties go to the smallest index tuple."""
-    return _scan_scene(geom, scn, p, False, budget)
+    return scan_subsets(geom, scn, p, budget=budget)
 
 
 def enumerate_worst(geom, scn, p: int, budget: int = DEFAULT_BUDGET) -> RankedConfiguration:
     """Globally minimum-SINR configuration (the worst-case baseline)."""
-    return _scan_scene(geom, scn, p, True, budget)
+    return scan_subsets(geom, scn, p, worst=True, budget=budget)
 
 
 def enumerate_all_ranked(geom, scn, p: int, with_objective: bool = False,

@@ -3,12 +3,12 @@
 A single ExperimentConfig pins every free choice (grid, counts, power ranges,
 seeds), and all randomness flows through named np.random streams derived from
 (config seed, purpose code, look index), so datasets and reports regenerate
-byte-identically. Evaluation re-scores every method's configuration with the
-same subset scorer the enumeration oracle uses, so a method can meet the
-optimum only up to float rounding (the scorer's matmul may sum a lone mask in
-another order than a block of masks); the optimality audit therefore fails a
-method only when it beats the optimum by more than the shared relative tie
-band.
+byte-identically. Evaluation scores the optimum's mask and every method's
+mask rows of a scene in one batch through the subset scorer the enumeration
+oracle uses (score_methods), so a method that picks the optimum reports the
+optimum's value to the last digit; the optimality audit fails a method only
+when it beats the optimum by more than the shared relative tie band, since
+distinct subsets (mirror images, translations) tie it only up to rounding.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import numpy as np
 
 from . import beamformer, enumeration, mlp, sbsa, snapshots
 from .beamformer import REL_TIE_TOL, Sinr, mask_bits, mask_from_indices
-from .scene import (ArrayGeometry, Scenario, SourceSpec, correlation_matrices, db_power,
-                    steering_vector)
+from .scene import ArrayGeometry, Scenario, SourceSpec, correlation_matrices, db_power
 
 # purpose codes for derived rng streams, so no two phases share a stream
 _STREAM_TRAIN, _STREAM_TEST, _STREAM_RANDOM_BASELINE = 0, 1, 2
@@ -313,51 +312,37 @@ def random_masks(n_grid: int, p: int, n_draws: int, rng) -> np.ndarray:
     return out
 
 
-def worst_case_mask(geom, scn, p: int) -> np.ndarray:
-    return enumeration.enumerate_worst(geom, scn, p).mask
+def method_mask(method: str, geom, scn, p: int) -> np.ndarray:
+    """Mask of a built-in method that needs only the scene: sbsa, worst_case,
+    compact_ula or sparse_ula."""
+    if method == "sbsa":
+        return sbsa.sbsa_select(geom, scn, p).mask
+    if method == "worst_case":
+        return enumeration.enumerate_worst(geom, scn, p).mask
+    if method == "compact_ula":
+        return compact_ula_mask(geom.n_grid, p)
+    if method == "sparse_ula":
+        return sparse_ula_mask(geom.n_grid, p)
+    raise ValueError(f"unknown method {method!r}")
 
 
-# --- finite-sample selection -------------------------------------------------
+def score_methods(geom, scn, opt_mask, masks: dict, sid: str) -> tuple[float, dict]:
+    """Linear SINR of the optimum and of every method's mask rows, one scene.
 
-
-def select_from_covariance(r_xx: np.ndarray, steer: np.ndarray, p: int,
-                           budget: int = enumeration.DEFAULT_BUDGET) -> np.ndarray:
-    """Best configuration by the data-only statistic s_J^H (R_xx,J)^-1 s_J.
-
-    With exact matrices the statistic ranks subsets identically to output
-    SINR (matrix inversion lemma), so this is enumeration's argmax; feeding a
-    sample covariance gives the practical estimate-and-select route. Ties go
-    to the smallest index tuple, as in the enumeration oracle.
+    `masks` maps each method to one mask or a stack of mask rows. The
+    optimum's mask is stacked first, so the batch has at least two rows and
+    every row is scored on one path (numpy scores a lone row through another
+    BLAS routine, which can differ in the last digits), in one masks_sinr
+    call. Each method's slice must pass the optimality audit. Returns the
+    optimum's value and method -> its rows' values.
     """
-    _, mask, _ = enumeration.scan_subsets(
-        np.asarray(r_xx).shape[0], p,
-        lambda subsets, _: beamformer.capon_quadratic_batch(r_xx, steer, subsets),
-        budget=budget)
-    return mask
-
-
-def finite_sample_trial(cfg: ExperimentConfig, scn: Scenario, seed: int):
-    """One snapshot-vs-exact selection comparison on a fixed environment.
-
-    Returns (exact-route mask, estimated-route mask, SINR give-up in dB of
-    the estimated mask, both masks scored on the exact matrices).
-    """
-    if cfg.n_snapshots is None:
-        raise ValueError("config must set n_snapshots for a finite-sample trial")
-    geom = cfg.geometry
-    steer = steering_vector(geom, scn.desired.doa_deg)
-    _, _, r_xx = correlation_matrices(geom, scn)
-    mask_exact = select_from_covariance(r_xx, steer, cfg.n_select)
-
-    x = snapshots.simulate_snapshots(geom, scn, cfg.n_snapshots, seed=seed)
-    r_hat = snapshots.sample_covariance(x)
-    if cfg.toeplitz_average:
-        r_hat = snapshots.toeplitz_average(r_hat)
-    mask_est = select_from_covariance(r_hat, steer, cfg.n_select)
-
-    vals = beamformer.masks_sinr(geom, scn, np.stack([mask_exact, mask_est]))
-    gap_db = float(beamformer.sinr_db(vals[0]) - beamformer.sinr_db(vals[1]))
-    return mask_exact, mask_est, gap_db
+    blocks = [np.atleast_2d(m) for m in masks.values()]
+    vals = beamformer.masks_sinr(geom, scn, np.vstack([opt_mask, *blocks]))
+    opt = float(vals[0])
+    out = dict(zip(masks, np.split(vals[1:], np.cumsum([len(b) for b in blocks])[:-1])))
+    for method, method_vals in out.items():
+        _audit(method_vals, opt, sid, method)
+    return opt, out
 
 
 @dataclass
@@ -432,12 +417,15 @@ def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
     `methods` mixes built-in names (sbsa, nnc, compact_ula, sparse_ula,
     random, worst_case) with keys of `models` (each a list of trained
     networks, as load_model returns, whose mean scores are decoded top-P).
-    Every method's configuration is scored with the scorer that found the
-    optimum, and any method beating the enumerated optimum by more than the
-    relative tie band is a hard error.
+    Each scene's optimum and method masks are scored together by
+    score_methods, and any method beating the optimum by more than the
+    relative tie band is a hard error. The random baseline reports the mean
+    dB of its n_random draws.
     """
     models = models or {}
     for m in methods:
+        if m == "opt":
+            raise ValueError("method name 'opt' is taken by the optimum's report columns")
         if m in models:
             continue
         if m == "nnc" and nnc_index is None:
@@ -447,10 +435,6 @@ def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
 
     geom = cfg.geometry
     p = cfg.n_select
-    fixed = {
-        "compact_ula": compact_ula_mask(cfg.n_grid, p),
-        "sparse_ula": sparse_ula_mask(cfg.n_grid, p),
-    }
     rows = []
     gaps = {m: [] for m in methods}
     sinrs = {m: [] for m in methods}
@@ -459,42 +443,34 @@ def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
     n_scn = 0
     for rec in scenario_stream(cfg, part, label_source="enumeration"):
         scn = rec.scenario
-        opt_mask, opt_sinr = rec.label_mask, rec.label_sinr
-        opt_db = opt_sinr.db
+        masks = {}
+        for m in methods:
+            if m in models:
+                masks[m] = mlp.predict_selection(models[m], rec.features, p)
+            elif m == "nnc":
+                masks[m] = np.asarray(nnc_index.predict(rec.features), dtype=int)
+            elif m == "random":
+                rng = np.random.default_rng((cfg.seed, _STREAM_RANDOM_BASELINE, n_scn))
+                masks[m] = random_masks(cfg.n_grid, p, n_random, rng)
+            else:
+                masks[m] = method_mask(m, geom, scn, p)
+        opt, vals = score_methods(geom, scn, rec.label_mask, masks, rec.scenario_id)
+        opt_db = float(beamformer.sinr_db(opt))
         row = {
             "scenario_id": rec.scenario_id,
             "look_doa_deg": rec.look_doa_deg,
             "n_interferers": scn.n_interferers,
-            "opt_mask_bits": mask_bits(opt_mask),
+            "opt_mask_bits": mask_bits(rec.label_mask),
             "opt_sinr_db": opt_db,
         }
         for m in methods:
+            m_db = float(np.mean(beamformer.sinr_db(vals[m])))
             if m == "random":
-                rng = np.random.default_rng((cfg.seed, _STREAM_RANDOM_BASELINE, n_scn))
-                draws = random_masks(cfg.n_grid, p, n_random, rng)
-                vals = beamformer.masks_sinr(geom, scn, draws)
-                _audit(vals, opt_sinr.linear, rec.scenario_id, m)
-                m_db = float(np.mean(beamformer.sinr_db(vals)))
                 row[f"{m}_mask_bits"] = ""
-                row[f"{m}_sinr_db"] = m_db
             else:
-                if m in models:
-                    mask = mlp.predict_selection(models[m], rec.features, p)
-                elif m == "sbsa":
-                    mask = sbsa.sbsa_select(geom, scn, p).mask
-                elif m == "nnc":
-                    mask = np.asarray(nnc_index.predict(rec.features), dtype=int)
-                elif m == "worst_case":
-                    mask = worst_case_mask(geom, scn, p)
-                else:
-                    mask = fixed[m]
-                val = float(beamformer.masks_sinr(geom, scn, mask[None, :])[0])
-                _audit(np.array([val]), opt_sinr.linear, rec.scenario_id, m)
-                m_db = float(beamformer.sinr_db(val))
-                row[f"{m}_mask_bits"] = mask_bits(mask)
-                row[f"{m}_sinr_db"] = m_db
-                if np.array_equal(mask, opt_mask):
-                    matches[m] += 1
+                row[f"{m}_mask_bits"] = mask_bits(masks[m])
+                matches[m] += np.array_equal(masks[m], rec.label_mask)
+            row[f"{m}_sinr_db"] = m_db
             sinrs[m].append(m_db)
             gaps[m].append(opt_db - m_db)
         rows.append(row)

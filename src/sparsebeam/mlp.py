@@ -369,9 +369,10 @@ def train(features, labels, cfg: TrainConfig | None = None,
     validation rows with forward/predict_selection; the returned model is
     float64.
 
-    split is a precomputed (train_idx, val_idx) pair; it must be the
-    split_train_validation result for cfg.split_seed, which train_ensemble
-    computes once for all its members.
+    The train/validation split draws from its own generator, seeded with
+    cfg.split_seed (falling back to cfg.rng_seed), so a lone fit equals the
+    first member of train_ensemble. split is that (train_idx, val_idx) pair
+    precomputed, which train_ensemble does once for all its members.
     """
     t0 = time.perf_counter()
     cfg = cfg or TrainConfig()
@@ -383,9 +384,9 @@ def train(features, labels, cfg: TrainConfig | None = None,
 
     rng = np.random.default_rng(cfg.rng_seed)
     if split is None:
-        split_rng = rng if cfg.split_seed is None else np.random.default_rng(cfg.split_seed)
-        split = split_train_validation(
-            x.shape[0], cfg.validation_fraction, split_rng, scenario_ids)
+        split_seed = cfg.split_seed if cfg.split_seed is not None else cfg.rng_seed
+        split = split_train_validation(x.shape[0], cfg.validation_fraction,
+                                       np.random.default_rng(split_seed), scenario_ids)
     train_idx, val_idx = split
     x_tr, y_tr = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]

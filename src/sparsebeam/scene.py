@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)

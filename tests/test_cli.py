@@ -2,14 +2,17 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import sparsebeam
-from sparsebeam import cli, harness, mlp, scene
+from sparsebeam import cli, enumeration, harness, mlp, scene
 
 
 @pytest.fixture()
@@ -163,6 +166,9 @@ def test_compare_command_gaps_nonnegative(scenario_path, tmp_path):
                        "random", "worst_case"]
     for row in rows[1:]:
         assert float(row[3]) >= -1e-9
+    # the optimum is scored in the methods' batch and matches the oracle's table
+    best = enumeration.enumerate_best(scene.ArrayGeometry(8), scene.load_scenario(scenario_path), 3)
+    assert rows[1][2:] == [repr(best.sinr.db), "0.0"]
 
 
 def test_bad_inputs_exit_code_two(tmp_path, scenario_path, capsys):
@@ -186,6 +192,63 @@ def test_overflowing_source_power_exit_code_two(tmp_path, capsys, inr_db):
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _write_aliasing_scene(path, inr_db):
+    # the interferers' phase steps differ by pi, so they alias on every
+    # other sensor; at 300 dB above the noise some subsets' scores lose
+    # every digit
+    doas = [math.degrees(math.acos(0.75)), math.degrees(math.acos(-0.25))]
+    path.write_text(json.dumps({"desired_doa_deg": 70.0, "snr_db": 0.0,
+                                "interferer_doas_deg": doas, "inr_db": [inr_db, inr_db]}))
+
+
+@pytest.mark.parametrize("command", ["enumerate", "fig7", "compare", "sbsa"])
+def test_degenerate_scene_exit_code_two(tmp_path, capsys, command):
+    path = tmp_path / "scene.json"
+    _write_aliasing_scene(path, 300)
+    out = tmp_path / "out"
+    rc = cli.main([command, str(path), "--n-grid", "8", "--n-select", "3",
+                   "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(out.glob("*.csv"))
+    # the same aliasing pair at 120 dB still scores every subset
+    _write_aliasing_scene(path, 120)
+    if command in ("enumerate", "fig7"):
+        assert cli.main([command, str(path), "--n-grid", "8", "--n-select", "3",
+                         "--out-dir", str(out)]) == 0
+
+
+def test_eval_rejects_dataset_of_another_size(config_path, tmp_path, capsys):
+    data = tmp_path / "data"
+    cfg = harness.load_config(config_path)
+    for name, other in (("p5", replace(cfg, n_select=5)), ("n9", replace(cfg, n_grid=9))):
+        harness.save_config(tmp_path / f"{name}.json", other)
+        cli.main(["gen-data", str(tmp_path / f"{name}.json"), "--part", "train",
+                  "--out-dir", str(data / name)])
+        capsys.readouterr()
+        dataset = data / name / "train.csv"
+        rc = cli.main(["eval", config_path, "--train-dataset", str(dataset),
+                       "--methods", "compact_ula", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dataset}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_lone_fit_is_the_first_ensemble_member(config_path, tmp_path):
+    data = tmp_path / "data"
+    cli.main(["gen-data", config_path, "--part", "train", "--out-dir", str(data)])
+    common = ["train", str(data / "train.csv"), "--hidden", "6", "--epochs", "3",
+              "--batch-size", "4", "--val-fraction", "0.3", "--seed", "4"]
+    assert cli.main([*common, "--ensemble", "1", "--out-dir", str(tmp_path / "one")]) == 0
+    assert cli.main([*common, "--ensemble", "3", "--out-dir", str(tmp_path / "three")]) == 0
+    (lone,) = mlp.load_model(tmp_path / "one" / "model.bin")
+    first = mlp.load_model(tmp_path / "three" / "model.bin")[0]
+    for a, b in zip(lone.weights + lone.biases, first.weights + first.biases):
+        assert np.array_equal(a, b)
 
 
 def test_truncated_model_file_exit_code_two(config_path, tmp_path, capsys):
@@ -344,6 +407,16 @@ def test_sbsa_charges_first_greedy_step_to_budget(scenario_path, tmp_path, capsy
     assert proc.returncode == 3, proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: 3000 starts x 2999")
+
+
+@pytest.mark.parametrize("n_grid, codes", [("800", (0, 3)), ("256", (0,))])
+def test_sbsa_first_step_fits_bounded_memory(scenario_path, tmp_path, n_grid, codes):
+    # the first step's float64 copy of 639,200 masks of 800 sensors is 3.8 GiB
+    proc = run_capped(["sbsa", scenario_path, "--n-grid", n_grid, "--n-select", "2",
+                       "--out-dir", str(tmp_path)])
+    assert proc.returncode in codes, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == (proc.returncode != 0)
 
 
 @pytest.mark.parametrize("override", [

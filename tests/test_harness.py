@@ -123,31 +123,32 @@ def test_baseline_mask_shapes():
 
 def test_worst_case_mask_is_the_enumerated_minimum():
     cfg = tiny_config()
+    geom, p = cfg.geometry, cfg.n_select
     rec = next(iter(harness.scenario_stream(cfg, "test")))
-    worst = harness.worst_case_mask(cfg.geometry, rec.scenario, cfg.n_select)
-    ref = enumeration.enumerate_worst(cfg.geometry, rec.scenario, cfg.n_select)
+    worst = harness.method_mask("worst_case", geom, rec.scenario, p)
+    ref = enumeration.enumerate_worst(geom, rec.scenario, p)
     assert np.array_equal(worst, ref.mask)
-
-
-def test_select_from_exact_covariance_recovers_enumeration_best():
-    cfg = tiny_config()
-    geom = cfg.geometry
-    for rec in list(harness.scenario_stream(cfg, "test"))[:5]:
-        _, _, r_xx = scene.correlation_matrices(geom, rec.scenario)
-        steer = scene.steering_vector(geom, rec.scenario.desired.doa_deg)
-        mask = harness.select_from_covariance(r_xx, steer, cfg.n_select)
-        assert np.array_equal(mask, rec.label_mask)
-
-
-def test_finite_sample_trial_gap_is_nonnegative():
-    cfg = tiny_config(n_snapshots=256)
-    rec = next(iter(harness.scenario_stream(cfg, "test")))
-    mask_exact, mask_est, gap_db = harness.finite_sample_trial(cfg, rec.scenario, seed=3)
-    assert mask_exact.sum() == cfg.n_select
-    assert mask_est.sum() == cfg.n_select
-    assert gap_db >= -1e-9
+    assert np.array_equal(harness.method_mask("sparse_ula", geom, rec.scenario, p),
+                          harness.sparse_ula_mask(cfg.n_grid, p))
     with pytest.raises(ValueError):
-        harness.finite_sample_trial(tiny_config(), rec.scenario, seed=3)
+        harness.method_mask("random", geom, rec.scenario, p)
+
+
+def test_score_methods_scores_one_batch_and_audits_each_slice():
+    cfg = tiny_config()
+    geom, p = cfg.geometry, cfg.n_select
+    scn = next(iter(harness.scenario_stream(cfg, "test"))).scenario
+    best = enumeration.enumerate_best(geom, scn, p)
+    worst = enumeration.enumerate_worst(geom, scn, p)
+    draws = harness.random_masks(cfg.n_grid, p, 5, np.random.default_rng(0))
+    masks = {"a": worst.mask, "b": draws, "c": best.mask}
+    opt, vals = harness.score_methods(geom, scn, best.mask, masks, "s0")
+    assert opt == best.sinr.linear
+    assert [len(v) for v in vals.values()] == [1, 5, 1]
+    assert vals["c"][0] == opt
+    np.testing.assert_allclose(vals["b"], beamformer.masks_sinr(geom, scn, draws), rtol=1e-12)
+    with pytest.raises(RuntimeError, match="optimality audit failed on s0"):
+        harness.score_methods(geom, scn, worst.mask, masks, "s0")
 
 
 def test_snapshot_robustness_pairs_streams():
@@ -195,6 +196,39 @@ def test_evaluate_rejects_unknown_method_and_missing_index():
         harness.evaluate(cfg, ["bogus"])
     with pytest.raises(ValueError):
         harness.evaluate(cfg, ["nnc"])
+    # the optimum owns the report's opt_* columns
+    model = [mlp.init_model([2 * cfg.n_grid - 1, 4, cfg.n_grid], seed=0)]
+    with pytest.raises(ValueError, match="'opt'"):
+        harness.evaluate(cfg, ["opt"], models={"opt": model})
+
+
+def test_evaluate_scores_each_scene_once_and_optimal_picks_report_the_optimum(
+        monkeypatch, tmp_path):
+    cfg = tiny_config(n_test_per_look=12)
+    # an index over the test records themselves picks each scene's optimum
+    test = list(harness.scenario_stream(cfg, "test"))
+    index = nnc.NncIndex(np.stack([r.features for r in test]),
+                         np.stack([r.label_mask for r in test]))
+    calls = []
+    scorer = beamformer.masks_sinr
+    monkeypatch.setattr(beamformer, "masks_sinr",
+                        lambda *a: calls.append(1) or scorer(*a))
+    methods = ["nnc", "sbsa", "worst_case", "compact_ula", "sparse_ula", "random"]
+    result = harness.evaluate(cfg, methods, nnc_index=index, n_random=10)
+    assert len(calls) == len(result.rows) == 12
+    path = tmp_path / "report.csv"
+    harness.write_report_csv(path, result)
+    lines = path.read_text().splitlines()
+    head = lines[0].split(",")
+    hits = 0
+    for line in lines[1:]:
+        cells = dict(zip(head, line.split(",")))
+        for m in methods[:-1]:
+            if cells[f"{m}_mask_bits"] == cells["opt_mask_bits"]:
+                assert cells[f"{m}_sinr_db"] == cells["opt_sinr_db"]
+                hits += 1
+    assert result.summaries["nnc"].exact_match_rate == 1.0
+    assert hits >= 12
 
 
 def test_report_csv_is_byte_identical_across_runs(tmp_path):
