@@ -142,6 +142,8 @@ def cmd_eval(args) -> int:
         name, _, path = entry.partition("=")
         if not path:
             raise ValueError(f"--model expects NAME=PATH, got {entry!r}")
+        if name in models:
+            raise ValueError(f"--model name {name!r} is given more than once")
         models[name] = mlp.load_model(path)
         if name not in methods:
             methods.append(name)
@@ -180,18 +182,9 @@ def cmd_eval(args) -> int:
 
 def cmd_sbsa(args) -> int:
     geom, scn = _load_scene(args)
-    cfg = sbsa.SbsaConfig(
-        dft_length=args.dft_length,
-        n_starts=args.n_starts,
-        rng_seed=args.seed if args.seed is not None else 0,
-    )
-    # the first greedy step holds starts x (N-1) candidate masks at once, and
-    # omega_batch copies them to float64, so a mask costs 8 N cells, not N
-    n, starts = geom.n_grid, len(cfg.resolve_starts(geom.n_grid))
-    count = starts * (n - 1)
-    enumeration.charge_budget(8 * n, count, args.budget, f"{starts} starts x {n - 1} = "
-                              f"{count} candidate masks of {n} sensors in float64")
-    result = sbsa.sbsa_select(geom, scn, args.n_select, cfg)
+    cfg = sbsa.SbsaConfig(n_starts=args.n_starts,
+                          rng_seed=args.seed if args.seed is not None else 0)
+    result = sbsa.sbsa_select(geom, scn, args.n_select, cfg, budget=args.budget)
     print(f"mask={beamformer.mask_bits(result.mask)} sinr_db={result.sinr.db!r}")
     path = os.path.join(args.out_dir, "sbsa_starts.csv")
     with open(path, "w", newline="") as fh:
@@ -208,7 +201,6 @@ def cmd_sbsa(args) -> int:
     doc.update({
         "result_mask_bits": beamformer.mask_bits(result.mask),
         "result_sinr_db": result.sinr.db,
-        "dft_length": cfg.resolve_dft_length(geom.n_grid),
     })
     _write_manifest(args.out_dir, "sbsa", doc)
     return 0
@@ -217,8 +209,7 @@ def cmd_sbsa(args) -> int:
 def cmd_enumerate(args) -> int:
     geom, scn = _load_scene(args)
     ranked = enumeration.enumerate_all_ranked(
-        geom, scn, args.n_select, with_objective=args.with_objective,
-        dft_length=args.dft_length, budget=args.budget)
+        geom, scn, args.n_select, with_objective=args.with_objective, budget=args.budget)
     path = os.path.join(args.out_dir, "ranked.csv")
     enumeration.write_ranked_csv(path, ranked)
     for rc in ranked[: args.top]:
@@ -233,8 +224,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_fig7(args) -> int:
     geom, scn = _load_scene(args)
-    sweep = harness.overlap_sweep(geom, scn, args.n_select,
-                                  dft_length=args.dft_length, budget=args.budget)
+    sweep = harness.overlap_sweep(geom, scn, args.n_select, budget=args.budget)
     path = os.path.join(args.out_dir, "sweep.csv")
     harness.write_sweep_csv(path, sweep)
     print(f"wrote {path} ({len(sweep.omegas)} configurations)")
@@ -256,10 +246,10 @@ def cmd_compare(args) -> int:
     p = args.n_select
     best = enumeration.enumerate_best(geom, scn, p, budget=args.budget)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    masks = {m: harness.method_mask(m, geom, scn, p)
+    masks = {m: harness.method_mask(m, geom, scn, p, budget=args.budget)
              for m in ("sbsa", "compact_ula", "sparse_ula")}
     masks["random"] = harness.random_masks(geom.n_grid, p, args.n_random, rng)
-    masks["worst_case"] = harness.method_mask("worst_case", geom, scn, p)
+    masks["worst_case"] = harness.method_mask("worst_case", geom, scn, p, budget=args.budget)
     opt, vals = harness.score_methods(geom, scn, best.mask, masks, args.scenario)
 
     opt_db = float(beamformer.sinr_db(opt))
@@ -281,15 +271,12 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _add_scene_args(sp, default_budget=enumeration.DEFAULT_BUDGET):
+def _add_scene_args(sp):
     sp.add_argument("scenario", help="scenario JSON document")
     sp.add_argument("--n-grid", type=int, required=True, help="grid size N")
     sp.add_argument("--n-select", type=int, required=True, help="sensors to place P")
-    sp.add_argument("--dft-length", type=int, default=None,
-                    help="DFT length K >= 2N-1 of the overlap objective; K only "
-                         "scales it (default 2 * next_pow2(N))")
-    sp.add_argument("--budget", type=int, default=default_budget,
-                    help="max configurations to enumerate; on grids wider than "
+    sp.add_argument("--budget", type=int, default=enumeration.DEFAULT_BUDGET,
+                    help="max configurations each search may score; on grids wider than "
                          f"{enumeration.BUDGET_GRID} each counts N/{enumeration.BUDGET_GRID}")
 
 

@@ -176,7 +176,6 @@ def enumerate_worst(geom, scn, p: int, budget: int = DEFAULT_BUDGET) -> RankedCo
 
 
 def enumerate_all_ranked(geom, scn, p: int, with_objective: bool = False,
-                         dft_length: int | None = None,
                          budget: int = DEFAULT_BUDGET) -> list[RankedConfiguration]:
     """All C(N,P) configurations, sorted.
 
@@ -185,17 +184,14 @@ def enumerate_all_ranked(geom, scn, p: int, with_objective: bool = False,
     sort is descending by SINR. Ties keep lexicographic subset order.
     """
     count = _check_budget(geom.n_grid, p, budget)
-    if with_objective:
-        from . import sbsa
-
-        k = dft_length if dft_length is not None else sbsa.default_dft_length(geom.n_grid)
+    from . import sbsa  # a top-level import would be circular
     terms = beamformer.scene_terms(geom, scn)
     sinrs = np.empty(count)
     omegas = np.empty(count) if with_objective else None
     for start, _, masks in _subset_chunks(geom.n_grid, p):
         sinrs[start:start + len(masks)] = beamformer.subset_sinr_batch(terms, masks)
         if with_objective:
-            omegas[start:start + len(masks)] = sbsa.omega_batch(masks, geom, scn, k)
+            omegas[start:start + len(masks)] = sbsa.omega_batch(masks, geom, scn)
     # stable: equal keys keep ascending rank_id
     order = np.argsort(omegas if with_objective else -sinrs, kind="stable")
 

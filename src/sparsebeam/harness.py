@@ -312,13 +312,15 @@ def random_masks(n_grid: int, p: int, n_draws: int, rng) -> np.ndarray:
     return out
 
 
-def method_mask(method: str, geom, scn, p: int) -> np.ndarray:
+def method_mask(method: str, geom, scn, p: int,
+                budget: int = enumeration.DEFAULT_BUDGET) -> np.ndarray:
     """Mask of a built-in method that needs only the scene: sbsa, worst_case,
-    compact_ula or sparse_ula."""
+    compact_ula or sparse_ula. The searches of sbsa and worst_case are
+    charged to `budget`."""
     if method == "sbsa":
-        return sbsa.sbsa_select(geom, scn, p).mask
+        return sbsa.sbsa_select(geom, scn, p, budget=budget).mask
     if method == "worst_case":
-        return enumeration.enumerate_worst(geom, scn, p).mask
+        return enumeration.enumerate_worst(geom, scn, p, budget=budget).mask
     if method == "compact_ula":
         return compact_ula_mask(geom.n_grid, p)
     if method == "sparse_ula":
@@ -417,20 +419,26 @@ def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
     `methods` mixes built-in names (sbsa, nnc, compact_ula, sparse_ula,
     random, worst_case) with keys of `models` (each a list of trained
     networks, as load_model returns, whose mean scores are decoded top-P).
+    Method names must be distinct, and no model may take a built-in's name.
     Each scene's optimum and method masks are scored together by
     score_methods, and any method beating the optimum by more than the
     relative tie band is a hard error. The random baseline reports the mean
     dB of its n_random draws.
     """
     models = models or {}
+    builtin = SELECTION_METHODS + ("random",)
     for m in methods:
         if m == "opt":
             raise ValueError("method name 'opt' is taken by the optimum's report columns")
+        if methods.count(m) > 1:
+            raise ValueError(f"method {m!r} is listed more than once")
+        if m in models and m in builtin:
+            raise ValueError(f"model name {m!r} is taken by a built-in method")
         if m in models:
             continue
         if m == "nnc" and nnc_index is None:
             raise ValueError("method 'nnc' requires an index")
-        if m not in SELECTION_METHODS + ("random",):
+        if m not in builtin:
             raise ValueError(f"unknown method {m!r}")
 
     geom = cfg.geometry
@@ -532,8 +540,7 @@ class OverlapSweep:
     best_position: int
 
 
-def overlap_sweep(geom, scn, p: int, dft_length: int | None = None,
-                  budget: int = enumeration.DEFAULT_BUDGET) -> OverlapSweep:
+def overlap_sweep(geom, scn, p: int, budget: int = enumeration.DEFAULT_BUDGET) -> OverlapSweep:
     """Exhaustive (overlap, SINR) sweep used for trend diagnostics.
 
     Sorts all C(N,P) configurations by the spectral-overlap objective and
@@ -541,8 +548,7 @@ def overlap_sweep(geom, scn, p: int, dft_length: int | None = None,
     half; a negative trend (lower overlap, higher SINR) is what justifies
     greedy overlap minimization.
     """
-    ranked = enumeration.enumerate_all_ranked(
-        geom, scn, p, with_objective=True, dft_length=dft_length, budget=budget)
+    ranked = enumeration.enumerate_all_ranked(geom, scn, p, with_objective=True, budget=budget)
     omegas = np.array([rc.objective for rc in ranked])
     lin = np.array([rc.sinr.linear for rc in ranked])
     db = beamformer.sinr_db(lin)

@@ -20,16 +20,16 @@ so the objective is the squared lag counts of a mask times a length-N
 per-scene weight vector; no spectrum is ever formed (the bin-by-bin
 product is the test suite's reference). Two masks with equal lag counts
 (a mask, its mirror image and its translations on the grid) therefore get
-bit-identical objectives. K only scales the objective, so the greedy picks
-and the sweep order are the same for every K >= 2N-1 (up to rounding of
-the scaled values); the DFT length remains as that scale and as the check
-that the spectra do not alias.
+bit-identical objectives. K only scales the objective, so it is fixed at
+K(N) = 2 * next_pow2(N) (`dft_length`), a power of two, which scales every
+value exactly.
 
 Greedy selection adds one sensor at a time, minimizing the objective over
 the unselected grid locations; one pass is run per starting location and
-the configuration with the best output SINR wins. Each step holds every
-start's candidate masks at once, starts x (N-1) masks of N cells at the
-first step, which the `sbsa` command charges to the enumeration budget.
+the exact subset scorer picks the configuration of best output SINR (its
+MaxSINR weights are `beamformer.max_sinr_weights` on the mask). Each step
+holds every start's candidate masks at once, starts x (N-1) masks of N
+cells at the first step, which `sbsa_select` charges to the budget.
 """
 
 from __future__ import annotations
@@ -38,48 +38,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import beamformer, scene
+from . import beamformer, enumeration, scene
 from .beamformer import REL_TIE_TOL, Sinr, validate_mask
 
 
-def next_pow2(n: int) -> int:
-    k = 1
-    while k < n:
-        k *= 2
-    return k
-
-
-def default_dft_length(n_grid: int) -> int:
-    return 2 * next_pow2(n_grid)
-
-
-def _check_dft_length(k: int, n_grid: int) -> int:
-    """Return `k`, or raise ValueError when K < 2N-1 would alias the autocorrelation."""
-    if k < 2 * n_grid - 1:
-        raise ValueError(f"dft_length {k} < 2N-1 = {2 * n_grid - 1} aliases the autocorrelation")
-    return k
+def dft_length(n_grid: int) -> int:
+    """K(N) = 2 * next_pow2(N) >= 2N-1, the DFT length that scales the objective."""
+    return 2 << (n_grid - 1).bit_length()
 
 
 @dataclass(frozen=True)
 class SbsaConfig:
     """Knobs for the greedy search.
 
-    dft_length None means 2 * next_pow2(N); n_starts None means one start per
-    grid location (deterministic and exhaustive). When n_starts is below N the
-    starts are drawn without replacement using rng_seed.
+    n_starts None means one start per grid location (deterministic and
+    exhaustive). When n_starts is below N the starts are drawn without
+    replacement using rng_seed.
     """
 
-    dft_length: int | None = None
     n_starts: int | None = None
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.n_starts is not None and self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-
-    def resolve_dft_length(self, n_grid: int) -> int:
-        k = self.dft_length if self.dft_length is not None else default_dft_length(n_grid)
-        return _check_dft_length(k, n_grid)
 
     def resolve_starts(self, n_grid: int) -> list[int]:
         if self.n_starts is None or self.n_starts >= n_grid:
@@ -111,23 +93,21 @@ def lag_counts(masks: np.ndarray) -> np.ndarray:
     return counts
 
 
-def omega_batch(masks: np.ndarray, geom, scn, dft_length: int) -> np.ndarray:
+def omega_batch(masks: np.ndarray, geom, scn) -> np.ndarray:
     """Spectral-overlap objective for each mask row (shared scenario).
 
     Computed in the lag domain (see the module docstring), which assumes a
     uniform grid and unit-modulus steering vectors:
     K * p_s * sum_d c_d(z)^2 * w_d with w_0 = sum_l p_l and
     w_d = 2 * sum_l p_l * cos(d * (psi_s - psi_l)) for d >= 1, psi being
-    each source's `scene.phase_step`. The result equals the K-bin spectral
-    product for every K >= 2N-1, in which K is only a factor, and depends on
-    a mask only through its lag counts, so mirrored and translated masks
-    score bit-identically.
+    each source's `scene.phase_step` and K = dft_length(N). The result equals
+    the K-bin spectral product and depends on a mask only through its lag
+    counts, so mirrored and translated masks score bit-identically.
     """
     masks = np.atleast_2d(np.asarray(masks))
     m, n = masks.shape
     if n != geom.n_grid:
         raise ValueError("mask length must equal the grid size")
-    k = _check_dft_length(dft_length, n)
     if scn.n_interferers == 0:
         return np.zeros(m)
 
@@ -137,7 +117,7 @@ def omega_batch(masks: np.ndarray, geom, scn, dft_length: int) -> np.ndarray:
     for src in scn.interferers:
         weights += src.power * np.cos(lags * (psi_s - scene.phase_step(geom, src.doa_deg)))
     weights[1:] *= 2.0  # lags -d and +d
-    weights *= k * scn.desired.power
+    weights *= dft_length(n) * scn.desired.power
 
     counts = lag_counts(masks)
     counts *= counts
@@ -149,11 +129,10 @@ def omega_batch(masks: np.ndarray, geom, scn, dft_length: int) -> np.ndarray:
     return total
 
 
-def omega(mask, geom, scn, dft_length: int | None = None) -> float:
+def omega(mask, geom, scn) -> float:
     """Spectral overlap of one configuration; zero when there is no interferer."""
     z = validate_mask(mask, n_grid=geom.n_grid)
-    k = dft_length if dft_length is not None else default_dft_length(geom.n_grid)
-    return float(omega_batch(z[None, :], geom, scn, k)[0])
+    return float(omega_batch(z[None, :], geom, scn)[0])
 
 
 @dataclass
@@ -170,27 +149,31 @@ class StartTrace:
 @dataclass
 class SbsaResult:
     mask: np.ndarray
-    weights: np.ndarray
     sinr: Sinr
     starts: list[StartTrace] = field(default_factory=list)
 
 
-def sbsa_select(geom, scn, p: int, cfg: SbsaConfig | None = None) -> SbsaResult:
+def sbsa_select(geom, scn, p: int, cfg: SbsaConfig | None = None,
+                budget: int = enumeration.DEFAULT_BUDGET) -> SbsaResult:
     """Greedy spectral-overlap selection with multi-start SINR ranking.
 
     Every start places one seed sensor, then grows the set one location at a
     time, choosing the unselected grid point of minimum objective (ties to the
     lowest index). The completed configurations are ranked by exact output
-    SINR and the winner's MaxSINR weights are computed on its subarray.
+    SINR. The first step's starts x (N-1) candidate masks, which omega_batch
+    copies to float64 (8 N cells a mask), are charged to `budget` before any
+    is built; BudgetExceededError if they do not fit.
     """
     n = geom.n_grid
     if not 1 <= p <= n:
         raise ValueError(f"P must satisfy 1 <= P <= N, got P={p}, N={n}")
     cfg = cfg or SbsaConfig()
-    k = cfg.resolve_dft_length(n)
     starts = cfg.resolve_starts(n)
 
     n_s = len(starts)
+    count = n_s * (n - 1)
+    enumeration.charge_budget(8 * n, count, budget, f"{n_s} starts x {n - 1} = "
+                              f"{count} candidate masks of {n} sensors in float64")
     rows = np.arange(n_s)
     chosen = np.zeros((n_s, n), dtype=bool)
     chosen[rows, starts] = True
@@ -202,7 +185,7 @@ def sbsa_select(geom, scn, p: int, cfg: SbsaConfig | None = None) -> SbsaResult:
         cand = np.nonzero(~chosen)[1].reshape(n_s, n_cand)
         masks = np.repeat(chosen[:, None, :], n_cand, axis=1)
         masks[rows[:, None], np.arange(n_cand), cand] = True
-        vals = omega_batch(masks.reshape(-1, n), geom, scn, k).reshape(n_s, n_cand)
+        vals = omega_batch(masks.reshape(-1, n), geom, scn).reshape(n_s, n_cand)
         # tie band: mirror-symmetric candidates produce equal objectives up
         # to rounding; take the lowest grid index among near-ties
         floor = vals.min(axis=1, keepdims=True)
@@ -223,7 +206,4 @@ def sbsa_select(geom, scn, p: int, cfg: SbsaConfig | None = None) -> SbsaResult:
                    mask=chosen[si].astype(int), sinr=Sinr(float(sinrs[si])))
         for si in range(n_s)
     ]
-    best_mask = traces[best].mask
-    r_s, _, r_xx = scene.correlation_matrices(geom, scn)
-    weights = beamformer.max_sinr_weights(r_s, r_xx, mask=best_mask)
-    return SbsaResult(mask=best_mask, weights=weights, sinr=traces[best].sinr, starts=traces)
+    return SbsaResult(mask=traces[best].mask, sinr=traces[best].sinr, starts=traces)

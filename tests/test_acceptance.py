@@ -238,7 +238,6 @@ def test_criterion_8_property_suites():
     t0 = time.perf_counter()
     rng = np.random.default_rng(808)
     geom = scene.ArrayGeometry(10)
-    k = sbsa.default_dft_length(10)
     noise_only = scene.Scenario(desired=scene.SourceSpec(60.0))
     for trial in range(25):
         desired, doas, powers = random_oracle_case(rng, 10)
@@ -258,12 +257,11 @@ def test_criterion_8_property_suites():
         assert np.array_equal(corr, corr[::-1])
         assert corr[len(corr) // 2] == p
 
-        total = sbsa.omega(mask, geom, scn, k)
-        parts = sum(sbsa.omega(mask, geom,
-                               build_scenario(desired, [d], [pw]), k)
+        total = sbsa.omega(mask, geom, scn)
+        parts = sum(sbsa.omega(mask, geom, build_scenario(desired, [d], [pw]))
                     for d, pw in zip(doas, powers))
         assert total == pytest.approx(parts, rel=1e-8)
-        assert sbsa.omega(mask, geom, noise_only, k) == pytest.approx(0.0, abs=1e-12)
+        assert sbsa.omega(mask, geom, noise_only) == pytest.approx(0.0, abs=1e-12)
 
         net = mlp.init_model([5, 10], seed=trial)
         pred = mlp.predict_selection([net], rng.normal(size=(4, 5)), p)

@@ -1,9 +1,11 @@
 """End-to-end command-line checks on tiny problems."""
 
+import argparse
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -107,6 +109,22 @@ def test_eval_command_scores_model_and_nnc(config_path, tmp_path, capsys):
     assert set(manifest["summaries"]) == {"dnn", "nnc", "sbsa", "compact_ula"}
 
 
+@pytest.mark.parametrize("extra", [
+    pytest.param(["--methods", "compact_ula,sbsa,compact_ula"], id="method-twice"),
+    pytest.param(["--model", "dnn={model}", "--model", "dnn={model}"], id="model-twice"),
+    pytest.param(["--model", "sbsa={model}"], id="model-is-builtin"),
+])
+def test_eval_rejects_colliding_method_names(config_path, tmp_path, capsys, extra):
+    model = tmp_path / "model.bin"
+    mlp.save_model(model, [mlp.init_model([15, 4, 8], seed=0)])
+    out = tmp_path / "out"
+    argv = ["eval", config_path, *(a.format(model=model) for a in extra), "--out-dir", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(out.glob("*"))
+
+
 def test_sbsa_command(scenario_path, tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["sbsa", scenario_path, "--n-grid", "8", "--n-select", "3",
@@ -208,17 +226,21 @@ def test_degenerate_scene_exit_code_two(tmp_path, capsys, command):
     path = tmp_path / "scene.json"
     _write_aliasing_scene(path, 300)
     out = tmp_path / "out"
-    rc = cli.main([command, str(path), "--n-grid", "8", "--n-select", "3",
-                   "--out-dir", str(out)])
-    assert rc == 2
+    argv = [command, str(path), "--n-grid", "8", "--n-select", "3"]
+    assert cli.main(argv + ["--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(out.glob("*.csv"))
-    # the same aliasing pair at 120 dB still scores every subset
+    # the same aliasing pair at 120 dB still scores every subset, in every command
     _write_aliasing_scene(path, 120)
-    if command in ("enumerate", "fig7"):
-        assert cli.main([command, str(path), "--n-grid", "8", "--n-select", "3",
-                         "--out-dir", str(out)]) == 0
+    assert cli.main(argv + ["--out-dir", str(out)]) == 0
+    if command == "sbsa":
+        # and the greedy search finds the enumerated optimum
+        assert cli.main(["enumerate", *argv[1:], "--out-dir", str(tmp_path / "enum")]) == 0
+        top = read_csv(tmp_path / "enum" / "ranked.csv")[1]
+        doc = json.loads((out / "sbsa_manifest.json").read_text())
+        assert doc["result_mask_bits"] == top[1] == "10101000"
+        assert doc["result_sinr_db"] == pytest.approx(float(top[2]), rel=1e-12)
 
 
 def test_eval_rejects_dataset_of_another_size(config_path, tmp_path, capsys):
@@ -343,12 +365,34 @@ def test_diverging_fit_exit_code_two(config_path, tmp_path, capsys):
     assert not (tmp_path / "fit" / "model.bin").exists()
 
 
-def test_fig7_rejects_aliasing_dft_length(scenario_path, tmp_path, capsys):
-    rc = cli.main(["fig7", scenario_path, "--n-grid", "16", "--n-select", "3",
-                   "--dft-length", "8", "--out-dir", str(tmp_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "dft_length 8 < 2N-1 = 31" in err and err.count("\n") == 1
+def _readme():
+    """README's `sparsebeam` command lines, continuations joined, and its
+    prose outside code blocks."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        text = fh.read().replace("\\\n", " ")
+    commands, prose, fenced = [], [], False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif line.startswith("sparsebeam "):
+            commands.append(line.split()[1:])
+        elif not fenced:
+            prose.append(line)
+    return commands, "\n".join(prose)
+
+
+def test_readme_commands_and_flags_match_the_parser():
+    parser = cli.build_parser()
+    commands, prose = _readme()
+    assert len(commands) >= 7
+    for argv in commands:
+        parser.parse_args(argv)  # exits 2 on an unknown flag or subcommand
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices.values()
+    options = {opt for sp in (parser, *subparsers) for opt in sp._option_string_actions}
+    mentioned = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*[a-z]", prose))
+    mentioned |= {tok for argv in commands for tok in argv if tok.startswith("--")}
+    assert mentioned - options == set()
 
 
 def test_version_and_module_entry(capsys):
@@ -409,10 +453,26 @@ def test_sbsa_charges_first_greedy_step_to_budget(scenario_path, tmp_path, capsy
     assert len(lines) == 1 and lines[0].startswith("error: 3000 starts x 2999")
 
 
-@pytest.mark.parametrize("n_grid, codes", [("800", (0, 3)), ("256", (0,))])
-def test_sbsa_first_step_fits_bounded_memory(scenario_path, tmp_path, n_grid, codes):
+def test_compare_charges_every_search_to_budget(scenario_path, tmp_path, capsys):
+    # the optimum and the worst case score C(8,2) = 28 subsets, but SBSA's
+    # first step holds 8 starts x 7 candidates = 56 masks
+    argv = ["compare", scenario_path, "--n-grid", "8", "--n-select", "2"]
+    assert cli.main(argv + ["--budget", "56", "--out-dir", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    assert cli.main(argv + ["--budget", "55", "--out-dir", str(tmp_path / "b")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: 8 starts x 7") and err.count("\n") == 1
+    assert not (tmp_path / "b" / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("command, n_grid, codes", [
+    pytest.param("sbsa", "800", (0, 3), id="800-codes0"),
+    pytest.param("sbsa", "256", (0,), id="256-codes1"),
+    pytest.param("compare", "800", (3,), id="compare-800"),
+])
+def test_sbsa_first_step_fits_bounded_memory(scenario_path, tmp_path, command, n_grid, codes):
     # the first step's float64 copy of 639,200 masks of 800 sensors is 3.8 GiB
-    proc = run_capped(["sbsa", scenario_path, "--n-grid", n_grid, "--n-select", "2",
+    proc = run_capped([command, scenario_path, "--n-grid", n_grid, "--n-select", "2",
                        "--out-dir", str(tmp_path)])
     assert proc.returncode in codes, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -1,5 +1,7 @@
 """Experiment configuration, dataset streams, baselines, and evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,19 @@ def test_worst_case_mask_is_the_enumerated_minimum():
         harness.method_mask("random", geom, rec.scenario, p)
 
 
+def test_method_mask_charges_its_search_to_budget():
+    cfg = tiny_config()
+    geom, p = cfg.geometry, cfg.n_select
+    n = geom.n_grid
+    scn = next(iter(harness.scenario_stream(cfg, "test"))).scenario
+    # the worst case scores C(N,P) subsets; SBSA's first greedy step holds
+    # N starts x (N-1) candidate masks
+    for method, count in (("worst_case", math.comb(n, p)), ("sbsa", n * (n - 1))):
+        with pytest.raises(enumeration.BudgetExceededError):
+            harness.method_mask(method, geom, scn, p, budget=count - 1)
+        harness.method_mask(method, geom, scn, p, budget=count)
+
+
 def test_score_methods_scores_one_batch_and_audits_each_slice():
     cfg = tiny_config()
     geom, p = cfg.geometry, cfg.n_select
@@ -200,6 +215,13 @@ def test_evaluate_rejects_unknown_method_and_missing_index():
     model = [mlp.init_model([2 * cfg.n_grid - 1, 4, cfg.n_grid], seed=0)]
     with pytest.raises(ValueError, match="'opt'"):
         harness.evaluate(cfg, ["opt"], models={"opt": model})
+    # one name, one set of report columns and one match count
+    with pytest.raises(ValueError, match="'compact_ula' is listed more than once"):
+        harness.evaluate(cfg, ["compact_ula", "sbsa", "compact_ula"])
+    # a network may not take a built-in method's name
+    for name in ("sbsa", "nnc", "random"):
+        with pytest.raises(ValueError, match=f"model name '{name}' is taken"):
+            harness.evaluate(cfg, [name], models={name: model})
 
 
 def test_evaluate_scores_each_scene_once_and_optimal_picks_report_the_optimum(
