@@ -54,7 +54,7 @@ def sinr_db(linear) -> np.ndarray:
 # --- selection-vector helpers ---------------------------------------------
 
 
-def validate_mask(mask, n_grid=None, cardinality=None) -> np.ndarray:
+def validate_mask(mask, n_grid=None) -> np.ndarray:
     """Check a 0/1 selection vector and return it as an int array."""
     z = np.asarray(mask, dtype=int)
     if z.ndim != 1:
@@ -66,8 +66,6 @@ def validate_mask(mask, n_grid=None, cardinality=None) -> np.ndarray:
         raise ValueError(f"selection mask must have between 1 and N ones, got {p}")
     if n_grid is not None and z.size != n_grid:
         raise ValueError(f"selection mask length {z.size} != grid size {n_grid}")
-    if cardinality is not None and p != cardinality:
-        raise ValueError(f"selection mask has {p} ones, expected {cardinality}")
     return z
 
 
@@ -83,10 +81,6 @@ def indices_from_mask(mask) -> np.ndarray:
 
 def mask_bits(mask) -> str:
     return "".join("1" if b else "0" for b in np.asarray(mask, dtype=int))
-
-
-def mask_from_bits(bits: str) -> np.ndarray:
-    return np.array([1 if c == "1" else 0 for c in bits], dtype=int)
 
 
 # --- core operations -------------------------------------------------------

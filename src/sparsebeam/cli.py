@@ -102,8 +102,6 @@ def cmd_train(args) -> int:
         max_epochs=args.epochs,
         patience=args.patience,
         validation_fraction=args.val_fraction,
-        standardize_features=not args.no_standardize,
-        normalize_power=not args.no_power_norm,
         rng_seed=args.seed if args.seed is not None else 0,
         split_seed=args.split_seed,
         monitor=args.monitor,
@@ -140,7 +138,7 @@ def cmd_eval(args) -> int:
     models = {}
     for entry in args.model or []:
         name, _, path = entry.partition("=")
-        if not path:
+        if not name or not path:
             raise ValueError(f"--model expects NAME=PATH, got {entry!r}")
         if name in models:
             raise ValueError(f"--model name {name!r} is given more than once")
@@ -155,7 +153,7 @@ def cmd_eval(args) -> int:
                 f"{args.train_dataset}: {x.shape[1]} features with {int(y[0].sum())}-sensor "
                 f"labels, but the config needs {2 * cfg.n_grid - 1} features "
                 f"(N = {cfg.n_grid}) with {cfg.n_select}-sensor labels")
-        nnc_index = nnc.NncIndex(x, y.astype(int), metric=args.nnc_metric)
+        nnc_index = nnc.NncIndex(x, y.astype(int))
         if "nnc" not in methods:
             methods.append("nnc")
     result = harness.evaluate(cfg, methods, models=models, nnc_index=nnc_index,
@@ -182,9 +180,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sbsa(args) -> int:
     geom, scn = _load_scene(args)
-    cfg = sbsa.SbsaConfig(n_starts=args.n_starts,
-                          rng_seed=args.seed if args.seed is not None else 0)
-    result = sbsa.sbsa_select(geom, scn, args.n_select, cfg, budget=args.budget)
+    result = sbsa.sbsa_select(geom, scn, args.n_select, budget=args.budget)
     print(f"mask={beamformer.mask_bits(result.mask)} sinr_db={result.sinr.db!r}")
     path = os.path.join(args.out_dir, "sbsa_starts.csv")
     with open(path, "w", newline="") as fh:
@@ -288,16 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the configured random seed")
+    def common(sp, seed=True):
+        if seed:
+            sp.add_argument("--seed", type=int, default=None, help="random seed override")
         sp.add_argument("--out-dir", default=".", help="output directory")
         return sp
 
     sp = common(sub.add_parser("gen-data", help="generate labeled datasets"))
     sp.add_argument("config", help="experiment config JSON")
     sp.add_argument("--part", choices=["train", "test", "both"], default="both")
-    sp.add_argument("--label-source", choices=["enumeration", "enumerate", "sbsa"],
+    sp.add_argument("--label-source", choices=["enumeration", "sbsa"],
                     default=None, help="override the configured labeler")
     sp.set_defaults(func=cmd_gen_data)
 
@@ -311,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epochs", type=int, default=200)
     sp.add_argument("--patience", type=int, default=20)
     sp.add_argument("--val-fraction", type=float, default=0.1)
-    sp.add_argument("--no-standardize", action="store_true")
-    sp.add_argument("--no-power-norm", action="store_true",
-                    help="skip dividing each example by its zero-lag power")
     sp.add_argument("--monitor", choices=("loss", "selection"), default="loss",
                     help="validation metric that picks the checkpoint")
     sp.add_argument("--split-seed", type=int, default=None,
@@ -329,19 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help="trained model to evaluate (repeatable)")
     sp.add_argument("--train-dataset", default=None,
                     help="training CSV for the nearest-neighbour baseline")
-    sp.add_argument("--nnc-metric", choices=["mse", "mae"], default="mse")
     sp.add_argument("--methods",
                     default="sbsa,compact_ula,sparse_ula,random,worst_case")
     sp.add_argument("--n-random", type=int, default=100)
     sp.add_argument("--part", choices=["train", "test"], default="test")
     sp.set_defaults(func=cmd_eval)
 
-    sp = common(sub.add_parser("sbsa", help="greedy spectral-overlap selection"))
+    sp = common(sub.add_parser("sbsa", help="greedy spectral-overlap selection"), seed=False)
     _add_scene_args(sp)
-    sp.add_argument("--n-starts", type=int, default=None)
     sp.set_defaults(func=cmd_sbsa)
 
-    sp = common(sub.add_parser("enumerate", help="exhaustive configuration ranking"))
+    sp = common(sub.add_parser("enumerate", help="exhaustive configuration ranking"), seed=False)
     _add_scene_args(sp)
     sp.add_argument("--with-objective", action="store_true",
                     help="sort ascending by spectral overlap instead of SINR")
@@ -349,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_enumerate)
 
     sp = common(sub.add_parser(
-        "fig7", help="exhaustive overlap-vs-SINR sweep for one scenario"))
+        "fig7", help="exhaustive overlap-vs-SINR sweep for one scenario"), seed=False)
     _add_scene_args(sp)
     sp.set_defaults(func=cmd_fig7)
 

@@ -94,7 +94,9 @@ def subset_unrank(rank: int, n: int, p: int) -> tuple[int, ...]:
 
 def charge_budget(n: int, count: int, budget: int, what: str) -> None:
     """Raise BudgetExceededError when `count` masks of `n` cells each, `what`,
-    cost more than `budget`."""
+    cost more than `budget`; a budget below 1 is a ValueError."""
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if count * max(n, BUDGET_GRID) > budget * BUDGET_GRID:
         raise BudgetExceededError(n, what, count, budget)
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import beamformer, enumeration, mlp, sbsa, snapshots
 from .beamformer import REL_TIE_TOL, Sinr, mask_bits, mask_from_indices
-from .scene import ArrayGeometry, Scenario, SourceSpec, correlation_matrices, db_power
+from .scene import (ArrayGeometry, Scenario, SourceSpec, check_real, correlation_matrices,
+                    db_power)
 
 # purpose codes for derived rng streams, so no two phases share a stream
 _STREAM_TRAIN, _STREAM_TEST, _STREAM_RANDOM_BASELINE = 0, 1, 2
@@ -41,19 +42,6 @@ MAX_INTERFERER_ANGLES, MAX_GRID, MAX_SNAPSHOT_CELLS = 1 << 20, 256, 1 << 22
 def _check_int(name: str, value, low: int) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def _check_real(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name}: expected a finite number, got {value!r}")
-
-
-def _canon_label_source(value: str) -> str:
-    if value in ("enumeration", "enumerate"):
-        return "enumeration"
-    if value == "sbsa":
-        return "sbsa"
-    raise ValueError(f"label_source must be 'enumeration' or 'sbsa', got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,10 +83,10 @@ class ExperimentConfig:
         for count in self.n_interferers_range:
             _check_int("n_interferers_range", count, 0)
         for name in ("snr_db", "noise_power", "doa_variance_deg2"):
-            _check_real(name, getattr(self, name))
+            check_real(name, getattr(self, name))
         for name in ("look_doas_deg", "inr_db_range", "interferer_grid_deg"):
             for value in getattr(self, name):
-                _check_real(name, value)
+                check_real(name, value)
         if not isinstance(self.toeplitz_average, bool):
             raise ValueError(f"toeplitz_average must be a boolean, got {self.toeplitz_average!r}")
         if not self.n_select <= self.n_grid:
@@ -126,8 +114,8 @@ class ExperimentConfig:
         for db in (self.snr_db, *self.inr_db_range):
             if not 0.0 < db_power(self.noise_power, db) < math.inf:
                 raise ValueError(f"power of {db} dB overflows or underflows a float")
-        if _canon_label_source(self.label_source) != self.label_source:
-            object.__setattr__(self, "label_source", _canon_label_source(self.label_source))
+        if self.label_source not in ("enumeration", "sbsa"):
+            raise ValueError(f"label_source must be enumeration or sbsa: {self.label_source!r}")
 
     @property
     def geometry(self) -> ArrayGeometry:
@@ -164,12 +152,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 raise ValueError(f"{key} must be a list")
             kwargs[key] = tuple(kwargs[key])
     return ExperimentConfig(**kwargs)
-
-
-def save_config(path, cfg: ExperimentConfig) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -257,8 +239,8 @@ def scenario_stream(cfg: ExperimentConfig, part: str, label_source: str | None =
     """
     if part not in _PART_STREAM:
         raise ValueError(f"part must be one of {sorted(_PART_STREAM)}")
-    label_source = _canon_label_source(label_source if label_source is not None
-                                       else cfg.label_source)
+    if label_source is not None:
+        cfg = replace(cfg, label_source=label_source)
     geom = cfg.geometry
     pert = snapshots.PerturbationSpec(cfg.doa_variance_deg2)
     n_items = cfg.n_train_per_look if part == "train" else cfg.n_test_per_look
@@ -268,7 +250,7 @@ def scenario_stream(cfg: ExperimentConfig, part: str, label_source: str | None =
             nominal = draw_scenario(cfg, look, rng)
             scn = _perturbed(nominal, pert, rng) if cfg.doa_variance_deg2 > 0 else nominal
             feats = _features_for(cfg, geom, scn, rng)
-            if label_source == "enumeration":
+            if cfg.label_source == "enumeration":
                 best = enumeration.enumerate_best(geom, scn, cfg.n_select)
                 label, label_sinr = best.mask, best.sinr
             else:
@@ -419,13 +401,15 @@ def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
     `methods` mixes built-in names (sbsa, nnc, compact_ula, sparse_ula,
     random, worst_case) with keys of `models` (each a list of trained
     networks, as load_model returns, whose mean scores are decoded top-P).
-    Method names must be distinct, and no model may take a built-in's name.
-    Each scene's optimum and method masks are scored together by
-    score_methods, and any method beating the optimum by more than the
-    relative tie band is a hard error. The random baseline reports the mean
-    dB of its n_random draws.
+    There must be at least one method, names must be distinct, and no model
+    may take a built-in's name. Each scene's optimum and method masks are
+    scored together by score_methods, and any method beating the optimum by
+    more than the relative tie band is a hard error. The random baseline
+    reports the mean dB of its n_random draws.
     """
     models = models or {}
+    if not methods:
+        raise ValueError("at least one method is required")
     builtin = SELECTION_METHODS + ("random",)
     for m in methods:
         if m == "opt":

@@ -4,8 +4,9 @@ Everything lives on numpy: Xavier-uniform init, ReLU hidden layers with
 inverted dropout in training, a linear output head trained under mean squared
 error against 0/1 selection masks, and ADAM with bias correction. The network
 scores each grid location; a P-sensor configuration is read off as the
-top-P scores. Feature standardization (per-feature mean/scale learned on the
-training split) is stored inside the model so inference takes raw features.
+top-P scores. A trained network divides each example by its zero-lag power and
+then standardizes it with the per-feature mean/scale learned on the training
+split; both are stored inside the model so inference takes raw features.
 
 A trained selector is a list of identically shaped networks, independent
 restarts that disagree mostly near a decision boundary, so predict_selection's
@@ -33,6 +34,8 @@ import numpy as np
 _MAGIC = b"MLPB"
 _MAGIC_ENSEMBLE = b"MLPE"
 _FORMAT = 1
+# preprocessing flag byte of a raw network, and of a trained one (power-normalized, standardized)
+_RAW, _TRAINED = 0, 3
 _SCALE_FLOOR = 1e-12
 _STRATUM_RE = re.compile(r"-L(\d+)-")
 
@@ -62,11 +65,9 @@ class MlpModel:
     layer_sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    # None for a raw network from init_model, which takes its input as given
     feature_mean: np.ndarray | None = None
     feature_scale: np.ndarray | None = None
-    # divide each example by its zero-lag power before standardizing; makes
-    # the net see interference shape rather than absolute level
-    normalize_power: bool = False
 
     @property
     def n_layers(self) -> int:
@@ -92,17 +93,16 @@ def init_model(layer_sizes, seed: int = 0) -> MlpModel:
 
 
 def _normalize_power(x: np.ndarray) -> np.ndarray:
+    # the net sees interference shape rather than absolute level
     lead = x[:, :1]
     denom = np.where(np.abs(lead) < _SCALE_FLOOR, 1.0, lead)
     return x / denom
 
 
 def _standardize(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    if model.normalize_power:
-        x = _normalize_power(x)
     if model.feature_mean is None:
         return x
-    return (x - model.feature_mean) / model.feature_scale
+    return (_normalize_power(x) - model.feature_mean) / model.feature_scale
 
 
 def forward(net: MlpModel, x) -> np.ndarray:
@@ -217,6 +217,7 @@ def mse_loss_and_grads(model: MlpModel, x, y, *, keep_prob: float = 1.0,
                        workspace: TrainWorkspace | None = None):
     """Loss (mean square error over batch x outputs) and parameter gradients.
 
+    x is taken as given (train standardizes its rows once, up front).
     Computes in the dtype of model's weights, in the buffers of `workspace`
     (one is built for the call when none is given). Returns (loss, grads)
     where grads = {"w": [...], "b": [...]} aligned with model.weights /
@@ -224,7 +225,7 @@ def mse_loss_and_grads(model: MlpModel, x, y, *, keep_prob: float = 1.0,
     call.
     """
     dtype = model.weights[0].dtype
-    x = np.asarray(_standardize(model, np.atleast_2d(np.asarray(x))), dtype=dtype)
+    x = np.asarray(np.atleast_2d(np.asarray(x)), dtype=dtype)
     y = np.atleast_2d(np.asarray(y, dtype=dtype))
     rows = x.shape[0]
     if y.shape != (rows, model.layer_sizes[-1]):
@@ -285,8 +286,6 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 20
     validation_fraction: float = 0.1
-    standardize_features: bool = True
-    normalize_power: bool = True
     rng_seed: int = 0
     # split_seed pins the train/validation split independently of rng_seed,
     # so metrics stay comparable when only the init/shuffle seed varies
@@ -392,11 +391,9 @@ def train(features, labels, cfg: TrainConfig | None = None,
     x_val, y_val = x[val_idx], y[val_idx]
 
     model = init_model(sizes, seed=cfg.rng_seed)
-    model.normalize_power = cfg.normalize_power
-    if cfg.standardize_features:
-        base = _normalize_power(x_tr) if model.normalize_power else x_tr
-        model.feature_mean = base.mean(axis=0)
-        model.feature_scale = np.maximum(base.std(axis=0), _SCALE_FLOOR)
+    base = _normalize_power(x_tr)
+    model.feature_mean = base.mean(axis=0)
+    model.feature_scale = np.maximum(base.std(axis=0), _SCALE_FLOOR)
 
     # the steps update the float32 parameters in place, through per-layer views
     params = np.concatenate([a.ravel() for pair in zip(model.weights, model.biases)
@@ -504,11 +501,9 @@ def predict_selection(nets: list[MlpModel], features, p: int) -> np.ndarray:
 
 
 def _write_single(fh, model: MlpModel) -> None:
-    flags = (1 if model.feature_mean is not None else 0)
-    flags |= (2 if model.normalize_power else 0)
     fh.write(struct.pack("<II", _FORMAT, len(model.layer_sizes)))
     fh.write(struct.pack(f"<{len(model.layer_sizes)}I", *model.layer_sizes))
-    fh.write(struct.pack("<B", flags))
+    fh.write(struct.pack("<B", _RAW if model.feature_mean is None else _TRAINED))
     for w, b in zip(model.weights, model.biases):
         fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
@@ -540,6 +535,8 @@ def _read_single(fh: _ModelBytes) -> MlpModel:
     if len(sizes) < 2 or min(sizes) < 1:
         raise ValueError("implausible layer sizes in model file")
     (flags,) = struct.unpack("<B", fh.read(1))
+    if flags not in (_RAW, _TRAINED):
+        raise ValueError(f"unsupported preprocessing flags {flags} in model file")
 
     def read_array(shape):
         buf = fh.read(8 * math.prod(shape))
@@ -550,21 +547,21 @@ def _read_single(fh: _ModelBytes) -> MlpModel:
         weights.append(read_array((fan_in, fan_out)))
         biases.append(read_array((fan_out,)))
     mean = scale = None
-    if flags & 1:
+    if flags == _TRAINED:
         mean = read_array((sizes[0],))
         scale = read_array((sizes[0],))
     return MlpModel(layer_sizes=sizes, weights=weights, biases=biases,
-                    feature_mean=mean, feature_scale=scale,
-                    normalize_power=bool(flags & 2))
+                    feature_mean=mean, feature_scale=scale)
 
 
 def save_model(path, nets: list[MlpModel]) -> None:
     """Binary weights file plus a JSON sidecar (path + ".json").
 
     Single-network layout: magic, then format, layer count, layer sizes, a
-    preprocessing flag byte (bit 0: standardized, bit 1: power-normalized),
-    then float64 little-endian arrays: per layer W (row-major) and b, then
-    feature mean and scale when present. Two or more networks use their own
+    preprocessing flag byte (3: trained, so power-normalized and standardized;
+    0: raw; load_model rejects any other value), then float64 little-endian
+    arrays: per layer W (row-major) and b, then feature mean and scale when
+    trained. Two or more networks use their own
     magic followed by a count and that many single-network blocks.
     """
     lead = nets[0]
@@ -581,7 +578,7 @@ def save_model(path, nets: list[MlpModel]) -> None:
         "format": _FORMAT,
         "layer_sizes": list(lead.layer_sizes),
         "standardized_features": lead.feature_mean is not None,
-        "power_normalized": lead.normalize_power,
+        "power_normalized": lead.feature_mean is not None,
         "ensemble_members": len(nets),
         "parameters": int(n_params),
     }

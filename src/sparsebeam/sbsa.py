@@ -25,10 +25,10 @@ K(N) = 2 * next_pow2(N) (`dft_length`), a power of two, which scales every
 value exactly.
 
 Greedy selection adds one sensor at a time, minimizing the objective over
-the unselected grid locations; one pass is run per starting location and
+the unselected grid locations; one pass is run from every grid location and
 the exact subset scorer picks the configuration of best output SINR (its
 MaxSINR weights are `beamformer.max_sinr_weights` on the mask). Each step
-holds every start's candidate masks at once, starts x (N-1) masks of N
+holds every start's candidate masks at once, N x (N-1) masks of N
 cells at the first step, which `sbsa_select` charges to the budget.
 """
 
@@ -45,29 +45,6 @@ from .beamformer import REL_TIE_TOL, Sinr, validate_mask
 def dft_length(n_grid: int) -> int:
     """K(N) = 2 * next_pow2(N) >= 2N-1, the DFT length that scales the objective."""
     return 2 << (n_grid - 1).bit_length()
-
-
-@dataclass(frozen=True)
-class SbsaConfig:
-    """Knobs for the greedy search.
-
-    n_starts None means one start per grid location (deterministic and
-    exhaustive). When n_starts is below N the starts are drawn without
-    replacement using rng_seed.
-    """
-
-    n_starts: int | None = None
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.n_starts is not None and self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
-
-    def resolve_starts(self, n_grid: int) -> list[int]:
-        if self.n_starts is None or self.n_starts >= n_grid:
-            return list(range(n_grid))
-        rng = np.random.default_rng(self.rng_seed)
-        return sorted(rng.choice(n_grid, size=self.n_starts, replace=False).tolist())
 
 
 def selection_autocorrelation(mask) -> np.ndarray:
@@ -153,39 +130,35 @@ class SbsaResult:
     starts: list[StartTrace] = field(default_factory=list)
 
 
-def sbsa_select(geom, scn, p: int, cfg: SbsaConfig | None = None,
+def sbsa_select(geom, scn, p: int,
                 budget: int = enumeration.DEFAULT_BUDGET) -> SbsaResult:
     """Greedy spectral-overlap selection with multi-start SINR ranking.
 
-    Every start places one seed sensor, then grows the set one location at a
-    time, choosing the unselected grid point of minimum objective (ties to the
-    lowest index). The completed configurations are ranked by exact output
-    SINR. The first step's starts x (N-1) candidate masks, which omega_batch
-    copies to float64 (8 N cells a mask), are charged to `budget` before any
-    is built; BudgetExceededError if they do not fit.
+    One start per grid location places that seed sensor, then grows the set
+    one location at a time, choosing the unselected grid point of minimum
+    objective (ties to the lowest index). The completed configurations are
+    ranked by exact output SINR. The first step's N starts x (N-1) candidate
+    masks, which omega_batch copies to float64 (8 N cells a mask), are charged
+    to `budget` before any is built; BudgetExceededError if they do not fit.
     """
     n = geom.n_grid
     if not 1 <= p <= n:
         raise ValueError(f"P must satisfy 1 <= P <= N, got P={p}, N={n}")
-    cfg = cfg or SbsaConfig()
-    starts = cfg.resolve_starts(n)
-
-    n_s = len(starts)
-    count = n_s * (n - 1)
-    enumeration.charge_budget(8 * n, count, budget, f"{n_s} starts x {n - 1} = "
+    count = n * (n - 1)
+    enumeration.charge_budget(8 * n, count, budget, f"{n} starts x {n - 1} = "
                               f"{count} candidate masks of {n} sensors in float64")
-    rows = np.arange(n_s)
-    chosen = np.zeros((n_s, n), dtype=bool)
-    chosen[rows, starts] = True
-    picks = np.empty((n_s, p - 1), dtype=np.intp)
-    objs = np.empty((n_s, p - 1))
+    rows = np.arange(n)
+    # row s is start s: seed sensor s, grown one location a step
+    chosen = np.eye(n, dtype=bool)
+    picks = np.empty((n, p - 1), dtype=np.intp)
+    objs = np.empty((n, p - 1))
     for step in range(p - 1):
         n_cand = n - 1 - step
         # row-major nonzero keeps each start's candidates in ascending order
-        cand = np.nonzero(~chosen)[1].reshape(n_s, n_cand)
+        cand = np.nonzero(~chosen)[1].reshape(n, n_cand)
         masks = np.repeat(chosen[:, None, :], n_cand, axis=1)
         masks[rows[:, None], np.arange(n_cand), cand] = True
-        vals = omega_batch(masks.reshape(-1, n), geom, scn).reshape(n_s, n_cand)
+        vals = omega_batch(masks.reshape(-1, n), geom, scn).reshape(n, n_cand)
         # tie band: mirror-symmetric candidates produce equal objectives up
         # to rounding; take the lowest grid index among near-ties
         floor = vals.min(axis=1, keepdims=True)
@@ -197,13 +170,13 @@ def sbsa_select(geom, scn, p: int, cfg: SbsaConfig | None = None,
     sinrs = beamformer.subset_sinr_batch(beamformer.scene_terms(geom, scn), chosen)
 
     best = 0
-    for si in range(1, n_s):
+    for si in range(1, n):
         if sinrs[si] > sinrs[best] * (1.0 + REL_TIE_TOL):
             best = si
 
     traces = [
-        StartTrace(start=starts[si], steps=list(zip(picks[si].tolist(), objs[si].tolist())),
+        StartTrace(start=si, steps=list(zip(picks[si].tolist(), objs[si].tolist())),
                    mask=chosen[si].astype(int), sinr=Sinr(float(sinrs[si])))
-        for si in range(n_s)
+        for si in range(n)
     ]
     return SbsaResult(mask=traces[best].mask, sinr=traces[best].sinr, starts=traces)

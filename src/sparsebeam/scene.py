@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,29 +127,51 @@ def db_power(noise_power: float, db) -> float:
         raise ValueError(f"power of {db} dB overflows a float") from None
 
 
+def check_real(name: str, value) -> float:
+    """`value` as a float; ValueError naming `name` unless it is a finite number."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) \
+                and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise ValueError(f"{name}: expected a finite number, got {value!r}")
+
+
+_SCENARIO_KEYS = ("desired_doa_deg", "snr_db", "interferer_doas_deg", "inr_db", "noise_power")
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
-    noise_power = float(doc.get("noise_power", 1.0))
-    doas = list(doc.get("interferer_doas_deg", []))
-    inrs = list(doc.get("inr_db", []))
-    if len(doas) != len(inrs):
-        raise ValueError("interferer_doas_deg and inr_db must have equal length")
+    """The Scenario of a scenario_to_dict document, checked like an experiment
+    config: a malformed document is a ValueError naming the field."""
+    if not isinstance(doc, dict):
+        raise ValueError("a scenario must be a JSON object")
+    unknown = set(doc) - set(_SCENARIO_KEYS)
+    if unknown:
+        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+    missing = [key for key in _SCENARIO_KEYS[:2] if key not in doc]
+    if missing:
+        raise ValueError(f"missing scenario keys: {missing}")
+    doas, inrs = (doc.get(key, []) for key in _SCENARIO_KEYS[2:4])
+    if not (isinstance(doas, list) and isinstance(inrs, list) and len(doas) == len(inrs)):
+        raise ValueError("interferer_doas_deg and inr_db must be lists of equal length")
+    noise_power = check_real("noise_power", doc.get("noise_power", 1.0))
     desired = SourceSpec(
-        doa_deg=float(doc["desired_doa_deg"]),
-        power=db_power(noise_power, doc["snr_db"]),
+        doa_deg=check_real("desired_doa_deg", doc["desired_doa_deg"]),
+        power=db_power(noise_power, check_real("snr_db", doc["snr_db"])),
     )
     interferers = tuple(
-        SourceSpec(doa_deg=float(d), power=db_power(noise_power, i))
+        SourceSpec(doa_deg=check_real("interferer_doas_deg", d),
+                   power=db_power(noise_power, check_real("inr_db", i)))
         for d, i in zip(doas, inrs)
     )
     return Scenario(desired=desired, interferers=interferers, noise_power=noise_power)
 
 
-def save_scenario(path, scn: Scenario):
-    with open(path, "w") as f:
-        json.dump(scenario_to_dict(scn), f, indent=2)
-        f.write("\n")
-
-
 def load_scenario(path) -> Scenario:
-    with open(path) as f:
-        return scenario_from_dict(json.load(f))
+    """scenario_from_dict of a JSON file; a ValueError names the file."""
+    try:
+        with open(path) as f:
+            return scenario_from_dict(json.load(f))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

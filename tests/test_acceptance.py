@@ -177,8 +177,7 @@ def test_criterion_5_network_verification():
     y10 = (rng.random((10, 4)) > 0.5).astype(float)
     cfg = mlp.TrainConfig(hidden_sizes=(32,), learning_rate=1e-2,
                           keep_prob=1.0, batch_size=10, max_epochs=800,
-                          patience=800, validation_fraction=0.0,
-                          normalize_power=False, rng_seed=0)
+                          patience=800, validation_fraction=0.0, rng_seed=0)
     fit = mlp.train(x10, y10, cfg)
     elapsed = time.perf_counter() - t0
     print(f"criterion 5: gradcheck {worst:.2e}, optimizer exact, "

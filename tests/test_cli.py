@@ -23,7 +23,7 @@ def config_path(tmp_path):
                                    n_train_per_look=12, n_test_per_look=8,
                                    seed=5)
     path = tmp_path / "cfg.json"
-    harness.save_config(path, cfg)
+    path.write_text(json.dumps(harness.config_to_dict(cfg)))
     return str(path)
 
 
@@ -33,7 +33,7 @@ def scenario_path(tmp_path):
                          interferers=(scene.SourceSpec(110.0, 10.0),
                                       scene.SourceSpec(40.0, 3.0)))
     path = tmp_path / "scene.json"
-    scene.save_scenario(path, scn)
+    path.write_text(json.dumps(scene.scenario_to_dict(scn)))
     return str(path)
 
 
@@ -67,12 +67,10 @@ def test_train_command_writes_loadable_model(config_path, tmp_path):
     assert rc == 0
     (model,) = mlp.load_model(out / "net.bin")
     assert model.layer_sizes == [15, 10, 8]
-    assert model.normalize_power
     with open(out / "train_manifest.json") as fh:
         manifest = json.load(fh)
     assert manifest["train_config"]["monitor"] == "selection"
     assert manifest["train_config"]["split_seed"] == 0
-    assert manifest["train_config"]["normalize_power"] is True
     assert manifest["n_examples"] == 12
     assert manifest["ensemble_members"] == 1
     assert manifest["compute_dtype"] == "float32"
@@ -113,6 +111,8 @@ def test_eval_command_scores_model_and_nnc(config_path, tmp_path, capsys):
     pytest.param(["--methods", "compact_ula,sbsa,compact_ula"], id="method-twice"),
     pytest.param(["--model", "dnn={model}", "--model", "dnn={model}"], id="model-twice"),
     pytest.param(["--model", "sbsa={model}"], id="model-is-builtin"),
+    pytest.param(["--methods", ",,"], id="no-method"),
+    pytest.param(["--methods", "compact_ula", "--model", "={model}"], id="model-unnamed"),
 ])
 def test_eval_rejects_colliding_method_names(config_path, tmp_path, capsys, extra):
     model = tmp_path / "model.bin"
@@ -122,6 +122,49 @@ def test_eval_rejects_colliding_method_names(config_path, tmp_path, capsys, extr
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(out.glob("*"))
+
+
+_BAD_SCENARIOS = [
+    pytest.param('[60.0, 0.0]', "JSON object", id="list-document"),
+    pytest.param('{"desired_doa_deg": 60.0, "snr_db": 0.0, "interferer_doas_deg": 154.0, '
+                 '"inr_db": [12.0]}', "interferer_doas_deg", id="doas-number"),
+    pytest.param('{"desired_doa_deg": 60.0, "snr_db": null}', "snr_db", id="snr-null"),
+    pytest.param('{"desired_doa_deg": 60.0, "snr_db": 0.0, '
+                 '"interferer_doas_deg": [[154.0, 55.0]], "inr_db": [12.0]}',
+                 "interferer_doas_deg", id="doas-nested"),
+    pytest.param('{"desired_doa_deg": 60.0}', "snr_db", id="snr-missing"),
+    pytest.param('{"desired_doa_deg": 60.0, "snr_db": 0.0, "interferers_deg": [154.0], '
+                 '"inrs_db": [12.0]}', "interferers_deg", id="keys-misspelled"),
+    pytest.param('{"desired_doa_deg": true, "snr_db": 0.0}', "desired_doa_deg", id="doa-bool"),
+    pytest.param('{"desired_doa_deg": 60.0, "snr_db": NaN}', "snr_db", id="snr-nan"),
+    pytest.param('{"desired_doa_deg": 60.0, "snr_db": 0.0, "interferer_doas_deg": [154.0], '
+                 f'"inr_db": [1{"0" * 400}]}}', "inr_db", id="inr-huge-integer"),
+    pytest.param('{"desired_doa_deg": 60.0, "snr_db": 0.0, "noise_power": "1"}',
+                 "noise_power", id="noise-string"),
+]
+
+
+@pytest.mark.parametrize("doc, field", _BAD_SCENARIOS)
+def test_bad_scenario_exits_two_without_output(tmp_path, capsys, doc, field):
+    path = tmp_path / "s.json"
+    path.write_text(doc)
+    out = tmp_path / "out"
+    rc = cli.main(["sbsa", str(path), "--n-grid", "8", "--n-select", "3", "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and field in err and err.count("\n") == 1
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("command, budget", [
+    ("sbsa", "-1"), ("enumerate", "0"), ("fig7", "0"), ("compare", "-1")])
+def test_budget_below_one_exits_two(scenario_path, tmp_path, capsys, command, budget):
+    out = tmp_path / "out"
+    rc = cli.main([command, scenario_path, "--n-grid", "8", "--n-select", "3",
+                   "--budget", budget, "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: budget must be >= 1, got {budget}\n"
     assert not list(out.glob("*"))
 
 
@@ -247,7 +290,7 @@ def test_eval_rejects_dataset_of_another_size(config_path, tmp_path, capsys):
     data = tmp_path / "data"
     cfg = harness.load_config(config_path)
     for name, other in (("p5", replace(cfg, n_select=5)), ("n9", replace(cfg, n_grid=9))):
-        harness.save_config(tmp_path / f"{name}.json", other)
+        (tmp_path / f"{name}.json").write_text(json.dumps(harness.config_to_dict(other)))
         cli.main(["gen-data", str(tmp_path / f"{name}.json"), "--part", "train",
                   "--out-dir", str(data / name)])
         capsys.readouterr()
@@ -395,6 +438,70 @@ def test_readme_commands_and_flags_match_the_parser():
     assert mentioned - options == set()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sbsa", "s.json", "--n-grid", "8", "--n-select", "3", "--seed", "1"],
+                 id="sbsa-seed"),
+    pytest.param(["enumerate", "s.json", "--n-grid", "8", "--n-select", "3", "--seed", "1"],
+                 id="enumerate-seed"),
+    pytest.param(["fig7", "s.json", "--n-grid", "8", "--n-select", "3", "--seed", "1"],
+                 id="fig7-seed"),
+    pytest.param(["sbsa", "s.json", "--n-grid", "8", "--n-select", "3", "--n-starts", "3"],
+                 id="sbsa-n-starts"),
+    pytest.param(["train", "d.csv", "--no-standardize"], id="train-no-standardize"),
+    pytest.param(["train", "d.csv", "--no-power-norm"], id="train-no-power-norm"),
+    pytest.param(["eval", "c.json", "--nnc-metric", "mae"], id="eval-nnc-metric"),
+    pytest.param(["gen-data", "c.json", "--label-source", "enumerate"],
+                 id="gen-data-label-source-enumerate"),
+])
+def test_parser_rejects_options_no_command_reads(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A parsed namespace that records the name of every attribute read."""
+
+    def __init__(self, args):
+        super().__init__(**vars(args))
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_command_reads_every_option(config_path, scenario_path, tmp_path):
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    out = tmp_path / "out"
+    scene_args = [scenario_path, "--n-grid", "8", "--n-select", "3"]
+    runs = {
+        "gen-data": [config_path],
+        "train": [str(out / "train.csv"), "--hidden", "6", "--epochs", "2"],
+        "eval": [config_path, "--model", f"dnn={out / 'model.bin'}",
+                 "--train-dataset", str(out / "train.csv"), "--methods", "compact_ula",
+                 "--n-random", "5"],
+        "sbsa": scene_args,
+        "enumerate": scene_args,
+        "fig7": scene_args,
+        "compare": [*scene_args, "--n-random", "5"],
+    }
+    assert set(runs) == set(subparsers)
+    unread = {}
+    for command, argv in runs.items():
+        args = parser.parse_args([command, *argv, "--out-dir", str(out)])
+        recorder = _ReadRecorder(args)
+        os.makedirs(out, exist_ok=True)
+        assert args.func(recorder) == 0
+        options = {a.dest for a in subparsers[command]._actions if a.dest != "help"}
+        unread[command] = sorted(options - recorder._read)
+    assert unread == {command: [] for command in runs}
+
+
 def test_version_and_module_entry(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
@@ -484,6 +591,7 @@ def test_sbsa_first_step_fits_bounded_memory(scenario_path, tmp_path, command, n
     pytest.param('"inr_db_range": [10, NaN]', id="inr-nan"),
     pytest.param('"inr_db_range": [10, 5000]', id="inr-overflow"),
     pytest.param('"snr_db": 5000', id="snr-overflow"),
+    pytest.param(f'"snr_db": 1{"0" * 400}', id="snr-huge-integer"),
     pytest.param('"doa_variance_deg2": Infinity', id="variance-infinite"),
     pytest.param('"doa_variance_deg2": 1e6, "n_interferers_range": [3, 4]', id="variance-huge"),
     pytest.param('"n_grid": 8.0', id="n_grid-float"),

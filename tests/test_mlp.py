@@ -117,12 +117,10 @@ def test_training_reduces_loss_and_memorizes():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_training_diverges_raises():
-    # features big enough to overflow the squared error to inf
+    # a step size big enough to overflow the weights, then the loss, to inf
     x, y = toy_dataset(n=16, seed=5)
-    x = x * 1e200
-    cfg = mlp.TrainConfig(hidden_sizes=(8,), max_epochs=5,
-                          validation_fraction=0.0, rng_seed=0,
-                          standardize_features=False, normalize_power=False)
+    cfg = mlp.TrainConfig(hidden_sizes=(8,), max_epochs=5, learning_rate=1e38,
+                          validation_fraction=0.0, rng_seed=0)
     with pytest.raises(mlp.TrainingDivergedError):
         mlp.train(x, y, cfg)
 
@@ -166,10 +164,8 @@ def test_predict_selection_cardinality_and_stable_ties():
 def test_power_normalization_makes_scaled_inputs_equivalent():
     x, y = toy_dataset(n=50, seed=9)
     cfg = mlp.TrainConfig(hidden_sizes=(16,), max_epochs=20, patience=20,
-                          validation_fraction=0.0, rng_seed=4,
-                          normalize_power=True)
+                          validation_fraction=0.0, rng_seed=4)
     res = mlp.train(x, y, cfg)
-    assert res.model.normalize_power
     a = mlp.forward(res.model, x[:5])
     b = mlp.forward(res.model, x[:5] * 7.5)
     assert np.allclose(a, b, atol=1e-12)
@@ -220,7 +216,7 @@ def test_model_file_round_trip(tmp_path):
     (back,) = mlp.load_model(path)
     assert path.read_bytes()[:4] == b"MLPB"
     assert back.layer_sizes == res.model.layer_sizes
-    assert back.normalize_power == res.model.normalize_power
+    assert np.array_equal(back.feature_mean, res.model.feature_mean)
     assert np.array_equal(mlp.forward(back, x), mlp.forward(res.model, x))
     assert (tmp_path / "model.bin.json").exists()
     bogus = tmp_path / "junk.bin"
@@ -278,9 +274,7 @@ def test_float32_trained_models_round_trip_bit_exact(tmp_path):
         x, y = toy_dataset(n=24, n_features=n_feat, n_out=n_out, seed=trial)
         cfg = mlp.TrainConfig(hidden_sizes=hidden, max_epochs=3, patience=3,
                               batch_size=int(rng.integers(3, 12)),
-                              validation_fraction=0.2, rng_seed=trial,
-                              standardize_features=bool(trial % 3),
-                              normalize_power=trial < 3)
+                              validation_fraction=0.2, rng_seed=trial)
         if n_members == 1:
             nets = [mlp.train(x, y, cfg).model]
         else:
@@ -319,7 +313,6 @@ def test_loads_float64_ensemble_file(tmp_path):
         got = [net.weights[0], net.biases[0], net.weights[1], net.biases[1],
                net.feature_mean, net.feature_scale]
         assert all(np.array_equal(a, b) for a, b in zip(got, arrays))
-        assert net.normalize_power
         assert np.any(arrays[0] != arrays[0].astype(np.float32))
     x = rng.normal(size=(7, 5))
     expect = np.mean([mlp.forward(m, x) for m in back], axis=0)
@@ -332,6 +325,20 @@ def test_loads_float64_ensemble_file(tmp_path):
                                             mlp.init_model([5, 6, 3], seed=0)])
     with pytest.raises(ValueError, match="share layer sizes"):
         mlp.load_model(tmp_path / "mixed.bin")
+
+
+@pytest.mark.parametrize("flags", [1, 2])
+def test_loader_rejects_unknown_preprocessing_flags(tmp_path, flags):
+    # a trained network's flag byte is 3 and a raw one's 0; the byte sits
+    # after the magic, the format, the layer count and two layer sizes
+    path = tmp_path / "model.bin"
+    mlp.save_model(path, [mlp.init_model([5, 3], seed=0)])
+    blob = bytearray(path.read_bytes())
+    assert blob[20] == 0
+    blob[20] = flags
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=f"preprocessing flags {flags}"):
+        mlp.load_model(path)
 
 
 def test_split_train_validation_is_stratified_and_disjoint():

@@ -6,13 +6,13 @@ import pytest
 from sparsebeam import nnc
 
 
-def make_index(n=40, n_features=7, n_grid=6, seed=0, metric="mse"):
+def make_index(n=40, n_features=7, n_grid=6, seed=0):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, n_features))
     labels = np.zeros((n, n_grid), dtype=int)
     for row in labels:
         row[rng.choice(n_grid, size=3, replace=False)] = 1
-    return nnc.NncIndex(feats, labels, metric=metric), feats, labels
+    return nnc.NncIndex(feats, labels), feats, labels
 
 
 def test_train_points_recall_their_own_labels():
@@ -40,13 +40,12 @@ def test_ties_resolve_to_lowest_stored_id():
 
 
 def test_metrics_can_disagree():
-    # squared error punishes the single large deviation, absolute error
-    # prefers it over four medium ones
+    # squared error punishes the single large deviation more than four
+    # medium ones, which an absolute-error distance would not
     feats = np.array([[3.0, 0.0, 0.0, 0.0], [1.2, 1.2, 1.2, 1.2]])
     labels = np.array([[1, 0], [0, 1]])
     q = np.zeros(4)
-    assert nnc.NncIndex(feats, labels, metric="mse").nearest(q) == 1
-    assert nnc.NncIndex(feats, labels, metric="mae").nearest(q) == 0
+    assert nnc.NncIndex(feats, labels).nearest(q) == 1
 
 
 def test_predictions_are_copies():
@@ -61,8 +60,6 @@ def test_validation_errors():
     labels = np.zeros((5, 6), dtype=int)
     with pytest.raises(ValueError):
         nnc.NncIndex(feats, labels)
-    with pytest.raises(ValueError):
-        nnc.NncIndex(np.zeros((4, 3)), np.zeros((4, 6)), metric="cosine")
     index = nnc.NncIndex(np.zeros((4, 3)), np.zeros((4, 6), dtype=int))
     with pytest.raises(ValueError):
         index.predict(np.zeros(2))

@@ -142,13 +142,13 @@ def test_greedy_steps_match_loop_reference(n_grid):
 def test_omega_zero_without_interference():
     geom = scene.ArrayGeometry(n_grid=8)
     scn = scene.Scenario(desired=scene.SourceSpec(doa_deg=75.0))
-    z = beamformer.mask_from_bits("10110100")
+    z = np.array([1, 0, 1, 1, 0, 1, 0, 0])
     assert sbsa.omega(z, geom, scn) == 0.0
 
 
 def test_omega_additive_over_interferers():
     geom, scn = build(l_count=3, seed=2)
-    z = beamformer.mask_from_bits("101101001010")
+    z = np.array([1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0])
     total = sbsa.omega(z, geom, scn)
     parts = 0.0
     for src in scn.interferers:
@@ -160,7 +160,7 @@ def test_omega_additive_over_interferers():
 
 def test_omega_scales_linearly_with_interferer_power():
     geom, scn = build(l_count=1, seed=3)
-    z = beamformer.mask_from_bits("110010101100")
+    z = np.array([1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0])
     base = sbsa.omega(z, geom, scn)
     boosted = scene.Scenario(
         desired=scn.desired,
@@ -184,10 +184,13 @@ def test_omega_batch_matches_scalar_route():
 def test_greedy_returns_valid_selection_with_traces():
     geom, scn = build(l_count=3, seed=6)
     res = sbsa.sbsa_select(geom, scn, 6)
-    beamformer.validate_mask(res.mask, n_grid=geom.n_grid, cardinality=6)
-    assert len(res.starts) == geom.n_grid  # default: every sensor seeds a run
+    beamformer.validate_mask(res.mask, n_grid=geom.n_grid)
+    assert res.mask.sum() == 6
+    # every sensor seeds a run, in grid order
+    assert [t.start for t in res.starts] == list(range(geom.n_grid))
     for trace in res.starts:
-        beamformer.validate_mask(trace.mask, n_grid=geom.n_grid, cardinality=6)
+        beamformer.validate_mask(trace.mask, n_grid=geom.n_grid)
+        assert trace.mask.sum() == 6
         assert trace.mask[trace.start] == 1
         assert len(trace.steps) == 5  # p - 1 growth steps after the seed
     # the reported configuration is the best of the per-start candidates
@@ -211,15 +214,6 @@ def test_greedy_never_beats_exhaustive_search():
         greedy = sbsa.sbsa_select(geom, scn, 6)
         best = enumeration.enumerate_best(geom, scn, 6)
         assert greedy.sinr.linear <= best.sinr.linear * (1 + 1e-9)
-
-
-def test_restricted_starts_and_seeded_sampling():
-    geom, scn = build(l_count=2, seed=8)
-    a = sbsa.sbsa_select(geom, scn, 4, sbsa.SbsaConfig(n_starts=3, rng_seed=11))
-    b = sbsa.sbsa_select(geom, scn, 4, sbsa.SbsaConfig(n_starts=3, rng_seed=11))
-    starts = [t.start for t in a.starts]
-    assert starts == [t.start for t in b.starts]
-    assert len(set(starts)) == 3 and starts == sorted(starts)
 
 
 def test_omega_of_greedy_steps_is_monotone_per_trace():
