@@ -106,9 +106,12 @@ def cmd_train(args) -> int:
         split_seed=args.split_seed,
         monitor=args.monitor,
     )
+    model_path = os.path.join(args.out_dir, args.model_name)
+    if not os.path.isdir(os.path.dirname(model_path) or "."):
+        raise ValueError(f"--model-name {args.model_name}: no directory "
+                         f"{os.path.dirname(model_path)} to write it in")
     t0 = time.perf_counter()
     results = mlp.train_ensemble(x, y, cfg, n_members=args.ensemble, scenario_ids=sids)
-    model_path = os.path.join(args.out_dir, args.model_name)
     mlp.save_model(model_path, [r.model for r in results])
     epochs = [r.best_epoch for r in results]
     print(f"wrote {model_path} (best epoch {epochs[0] if len(epochs) == 1 else epochs}, "
@@ -203,17 +206,19 @@ def cmd_sbsa(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.top < 0:
+        raise ValueError(f"--top must be >= 0, got {args.top}")
     geom, scn = _load_scene(args)
-    ranked = enumeration.enumerate_all_ranked(
+    ranking = enumeration.enumerate_all_ranked(
         geom, scn, args.n_select, with_objective=args.with_objective, budget=args.budget)
     path = os.path.join(args.out_dir, "ranked.csv")
-    enumeration.write_ranked_csv(path, ranked)
-    for rc in ranked[: args.top]:
-        extra = "" if rc.objective is None else f" omega={rc.objective!r}"
-        print(f"rank_id={rc.rank_id} mask={beamformer.mask_bits(rc.mask)} "
-              f"sinr_db={rc.sinr.db!r}{extra}")
+    enumeration.write_ranked_csv(path, ranking)
+    for k, db in enumerate(beamformer.sinr_db(ranking.sinr[:args.top]).tolist()):
+        bits = beamformer.mask_bits(beamformer.mask_from_indices(ranking.subsets[k], geom.n_grid))
+        extra = "" if ranking.omega is None else f" omega={float(ranking.omega[k])!r}"
+        print(f"rank_id={ranking.rank_ids[k]} mask={bits} sinr_db={db!r}{extra}")
     doc = _scene_doc(args, scn)
-    doc.update({"n_configurations": len(ranked), "with_objective": args.with_objective})
+    doc.update({"n_configurations": len(ranking.rank_ids), "with_objective": args.with_objective})
     _write_manifest(args.out_dir, "enumerate", doc)
     return 0
 

@@ -13,7 +13,6 @@ lexicographically smallest optimal subset and is independent of chunking.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import beamformer
-from .beamformer import REL_TIE_TOL, Sinr, mask_bits
+from .beamformer import REL_TIE_TOL, Sinr, sinr_db
 
 DEFAULT_BUDGET = 10_000_000
 # a subset on a grid wider than this costs N / BUDGET_GRID of the budget, so
@@ -46,7 +45,17 @@ class RankedConfiguration:
     rank_id: int
     mask: np.ndarray
     sinr: Sinr
-    objective: float | None = None
+
+
+@dataclass(frozen=True)
+class Ranking:
+    """Every configuration of one scene as columns, in sorted order."""
+
+    n_grid: int
+    rank_ids: np.ndarray
+    subsets: np.ndarray
+    sinr: np.ndarray
+    omega: np.ndarray | None = None
 
 
 def subset_rank(indices, n: int) -> int:
@@ -178,11 +187,11 @@ def enumerate_worst(geom, scn, p: int, budget: int = DEFAULT_BUDGET) -> RankedCo
 
 
 def enumerate_all_ranked(geom, scn, p: int, with_objective: bool = False,
-                         budget: int = DEFAULT_BUDGET) -> list[RankedConfiguration]:
-    """All C(N,P) configurations, sorted.
+                         budget: int = DEFAULT_BUDGET) -> Ranking:
+    """All C(N,P) configurations as a Ranking, sorted.
 
-    With `with_objective`, entries carry the spectral-overlap objective and the
-    list is sorted ascending by it (the diagnostic-plot x-axis); otherwise the
+    With `with_objective`, the ranking carries the spectral-overlap objective
+    and is sorted ascending by it (the diagnostic-plot x-axis); otherwise the
     sort is descending by SINR. Ties keep lexicographic subset order.
     """
     count = _check_budget(geom.n_grid, p, budget)
@@ -196,26 +205,23 @@ def enumerate_all_ranked(geom, scn, p: int, with_objective: bool = False,
             omegas[start:start + len(masks)] = sbsa.omega_batch(masks, geom, scn)
     # stable: equal keys keep ascending rank_id
     order = np.argsort(omegas if with_objective else -sinrs, kind="stable")
-
     n = geom.n_grid
-    rank_ids = order.tolist()
-    subsets = np.array([subset_unrank(r, n, p) for r in rank_ids], dtype=np.intp)
-    masks = np.zeros((count, n), dtype=int)
-    np.put_along_axis(masks, subsets, 1, axis=1)
-    objectives = omegas[order].tolist() if with_objective else [None] * count
-    return [RankedConfiguration(rank_id=r, mask=z, sinr=Sinr(s), objective=o)
-            for r, z, s, o in zip(rank_ids, masks, sinrs[order].tolist(), objectives)]
+    subsets = np.array([subset_unrank(r, n, p) for r in order.tolist()], dtype=np.intp)
+    return Ranking(n, order, subsets, sinrs[order], omegas[order] if with_objective else None)
 
 
-def write_ranked_csv(path, ranked: list[RankedConfiguration]):
-    """Dump a ranked list as CSV: rank_id, mask_bits, sinr_db, omega."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["rank_id", "mask_bits", "sinr_db", "omega"])
-        for rc in ranked:
-            w.writerow([
-                rc.rank_id,
-                mask_bits(rc.mask),
-                repr(rc.sinr.db),
-                "" if rc.objective is None else repr(rc.objective),
-            ])
+def write_columns(path, header, columns) -> None:
+    """CSV in one write, as csv.writer writes cells that need no quotes: a
+    numpy column's cells are the repr of its values, any other's are strings."""
+    cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) else c for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
+
+
+def write_ranked_csv(path, ranking: Ranking) -> None:
+    """Dump a ranking as CSV: rank_id, mask_bits, sinr_db, omega (or empty)."""
+    chars = (_index_masks(ranking.subsets, ranking.n_grid) + ord("0")).astype(np.uint8)
+    bits = chars.view(f"S{ranking.n_grid}").ravel().astype(str).tolist()
+    omega = [""] * len(bits) if ranking.omega is None else ranking.omega
+    write_columns(path, ["rank_id", "mask_bits", "sinr_db", "omega"],
+                  [ranking.rank_ids, bits, sinr_db(ranking.sinr), omega])

@@ -155,8 +155,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
+    """config_from_dict of a JSON file; a ValueError names the file and that
+    it was read as an experiment config."""
+    try:
+        with open(path) as fh:
+            return config_from_dict(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{path}: experiment config: {exc}") from None
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -532,25 +537,19 @@ def overlap_sweep(geom, scn, p: int, budget: int = enumeration.DEFAULT_BUDGET) -
     half; a negative trend (lower overlap, higher SINR) is what justifies
     greedy overlap minimization.
     """
-    ranked = enumeration.enumerate_all_ranked(geom, scn, p, with_objective=True, budget=budget)
-    omegas = np.array([rc.objective for rc in ranked])
-    lin = np.array([rc.sinr.linear for rc in ranked])
-    db = beamformer.sinr_db(lin)
-    half = len(ranked) // 2
+    ranking = enumeration.enumerate_all_ranked(geom, scn, p, with_objective=True, budget=budget)
+    db = beamformer.sinr_db(ranking.sinr)
+    half = len(db) // 2
     return OverlapSweep(
-        omegas=omegas,
+        omegas=ranking.omega,
         sinr_db=db,
-        rank_ids=np.array([rc.rank_id for rc in ranked]),
+        rank_ids=ranking.rank_ids,
         lower_half_mean_db=float(np.mean(db[:half])),
         upper_half_mean_db=float(np.mean(db[half:])),
-        best_position=int(np.argmax(lin)),
+        best_position=int(np.argmax(ranking.sinr)),
     )
 
 
 def write_sweep_csv(path, sweep: OverlapSweep) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["position", "rank_id", "omega", "sinr_db"])
-        # csv writes a Python float as its repr, which round-trips exactly
-        w.writerows(zip(range(len(sweep.omegas)), sweep.rank_ids.tolist(),
-                        sweep.omegas.tolist(), sweep.sinr_db.tolist()))
+    enumeration.write_columns(path, ["position", "rank_id", "omega", "sinr_db"], [
+        np.arange(len(sweep.omegas)), sweep.rank_ids, sweep.omegas, sweep.sinr_db])

@@ -34,6 +34,8 @@ import numpy as np
 _MAGIC = b"MLPB"
 _MAGIC_ENSEMBLE = b"MLPE"
 _FORMAT = 1
+# most networks one model file holds; save_model and load_model both enforce it
+MAX_ENSEMBLE = 4096
 # preprocessing flag byte of a raw network, and of a trained one (power-normalized, standardized)
 _RAW, _TRAINED = 0, 3
 _SCALE_FLOOR = 1e-12
@@ -187,8 +189,9 @@ class TrainWorkspace:
 
     Per layer there is a gradient for the weights and the biases, an
     activation buffer (which backprop overwrites with that layer's error) and,
-    per hidden layer, a scaled dropout mask, all `batch_size` rows tall;
-    shorter batches use the leading rows.
+    per hidden layer, a scaled dropout mask, all `batch_size` rows tall
+    (train passes the largest batch it takes); shorter batches use the
+    leading rows.
     """
 
     def __init__(self, layer_sizes, batch_size: int, dtype=COMPUTE_DTYPE):
@@ -295,6 +298,8 @@ class TrainConfig:
     monitor: str = "loss"
 
     def __post_init__(self):
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must be in (0, 1]")
         if not 0.0 <= self.validation_fraction < 1.0:
@@ -400,16 +405,18 @@ def train(features, labels, cfg: TrainConfig | None = None,
                              for a in pair]).astype(COMPUTE_DTYPE)
     live = MlpModel(model.layer_sizes, *_param_views(params, model.layer_sizes))
     adam = adam_init(live)
-    workspace = TrainWorkspace(model.layer_sizes, cfg.batch_size)
+    n_tr = x_tr.shape[0]
+    # no batch is taller than the training rows, whatever batch_size says
+    rows = min(cfg.batch_size, n_tr)
+    workspace = TrainWorkspace(model.layer_sizes, rows)
     x_tr = _standardize(model, x_tr).astype(COMPUTE_DTYPE)
     y_tr = y_tr.astype(COMPUTE_DTYPE)
-    x_buf = np.empty((cfg.batch_size, x_tr.shape[1]), COMPUTE_DTYPE)
-    y_buf = np.empty((cfg.batch_size, y_tr.shape[1]), COMPUTE_DTYPE)
+    x_buf = np.empty((rows, x_tr.shape[1]), COMPUTE_DTYPE)
+    y_buf = np.empty((rows, y_tr.shape[1]), COMPUTE_DTYPE)
 
     result = TrainResult(model=model)
     best = ((np.inf,), None)
     bad_epochs = 0
-    n_tr = x_tr.shape[0]
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(n_tr)
         batch_losses = []
@@ -473,6 +480,8 @@ def train_ensemble(features, labels, cfg: TrainConfig | None = None,
     """
     if n_members < 1:
         raise ValueError(f"ensemble size must be >= 1, got {n_members}")
+    if n_members > MAX_ENSEMBLE:
+        raise ValueError(f"ensemble size must be <= {MAX_ENSEMBLE}, got {n_members}")
     cfg = cfg or TrainConfig()
     split_seed = cfg.split_seed if cfg.split_seed is not None else cfg.rng_seed
     split = split_train_validation(len(features), cfg.validation_fraction,
@@ -562,8 +571,11 @@ def save_model(path, nets: list[MlpModel]) -> None:
     0: raw; load_model rejects any other value), then float64 little-endian
     arrays: per layer W (row-major) and b, then feature mean and scale when
     trained. Two or more networks use their own
-    magic followed by a count and that many single-network blocks.
+    magic followed by a count and that many single-network blocks; a file
+    holds 1 to MAX_ENSEMBLE networks.
     """
+    if not 1 <= len(nets) <= MAX_ENSEMBLE:
+        raise ValueError(f"a model file holds 1 to {MAX_ENSEMBLE} networks, got {len(nets)}")
     lead = nets[0]
     with open(path, "wb") as fh:
         if len(nets) == 1:
@@ -599,7 +611,7 @@ def load_model(path) -> list[MlpModel]:
     if magic != _MAGIC_ENSEMBLE:
         raise ValueError("not a model file")
     (count,) = struct.unpack("<I", fh.read(4))
-    if not 1 <= count <= 4096:
+    if not 1 <= count <= MAX_ENSEMBLE:
         raise ValueError(f"implausible ensemble member count {count}")
     nets = [_read_single(fh) for _ in range(count)]
     if any(net.layer_sizes != nets[0].layer_sizes for net in nets):

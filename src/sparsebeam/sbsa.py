@@ -146,7 +146,7 @@ def sbsa_select(geom, scn, p: int,
         raise ValueError(f"P must satisfy 1 <= P <= N, got P={p}, N={n}")
     count = n * (n - 1)
     enumeration.charge_budget(8 * n, count, budget, f"{n} starts x {n - 1} = "
-                              f"{count} candidate masks of {n} sensors in float64")
+                              f"{count} candidate float64 masks of {8 * n} cells")
     rows = np.arange(n)
     # row s is start s: seed sensor s, grown one location a step
     chosen = np.eye(n, dtype=bool)

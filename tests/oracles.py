@@ -2,9 +2,11 @@
 
 Everything here is written from the problem statement alone: plain
 itertools enumeration and a dense generalized eigensolve per subset. No
-code is shared with the library so agreement is meaningful.
+code is shared with the library so agreement is meaningful; files are
+rendered with the standard csv module.
 """
 
+import csv
 import itertools
 
 import numpy as np
@@ -207,3 +209,13 @@ def oracle_train_steps(x, y, hidden, seed, batch_size, keep_prob, lr, n_steps):
             if len(steps) == n_steps:
                 break
     return steps
+
+
+def csv_writer_bytes(path, header, rows) -> bytes:
+    """The bytes csv.writer writes for these rows, as the reference the
+    column writer must match."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()

@@ -194,6 +194,16 @@ def test_enumerate_command_and_budget_exit_code(scenario_path, tmp_path, capsys)
     assert rc == 3
 
 
+def test_enumerate_negative_top_exits_two(scenario_path, tmp_path, capsys):
+    argv = ["enumerate", scenario_path, "--n-grid", "8", "--n-select", "3"]
+    assert cli.main(argv + ["--top", "-1", "--out-dir", str(tmp_path / "a")]) == 2
+    assert capsys.readouterr().err == "error: --top must be >= 0, got -1\n"
+    assert not (tmp_path / "a" / "ranked.csv").exists()
+    assert cli.main(argv + ["--top", "0", "--out-dir", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out == ""
+    assert len(read_csv(tmp_path / "b" / "ranked.csv")) == 1 + 56
+
+
 def test_enumerate_objective_ordering(scenario_path, tmp_path):
     out = tmp_path / "out"
     cli.main(["enumerate", scenario_path, "--n-grid", "8", "--n-select", "3",
@@ -408,6 +418,43 @@ def test_diverging_fit_exit_code_two(config_path, tmp_path, capsys):
     assert not (tmp_path / "fit" / "model.bin").exists()
 
 
+@pytest.mark.parametrize("rate", ["-1", "0", "nan", "inf"])
+def test_train_rejects_bad_learning_rate(config_path, tmp_path, capsys, rate):
+    data = tmp_path / "data"
+    cli.main(["gen-data", config_path, "--part", "train", "--out-dir", str(data)])
+    capsys.readouterr()
+    rc = cli.main(["train", str(data / "train.csv"), "--hidden", "4", "--epochs", "2",
+                   "--learning-rate", rate, "--out-dir", str(tmp_path / "fit")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: learning_rate must be finite and > 0") and err.count("\n") == 1
+    assert not (tmp_path / "fit" / "model.bin").exists()
+
+
+def test_train_checks_ensemble_cap_and_model_path_before_fitting(
+        config_path, tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    cli.main(["gen-data", config_path, "--part", "train", "--out-dir", str(data)])
+    capsys.readouterr()
+
+    def no_fit(*args, **kwargs):
+        pytest.fail("train ran before its inputs were checked")
+
+    monkeypatch.setattr(mlp, "train", no_fit)
+    argv = ["train", str(data / "train.csv"), "--hidden", "4", "--epochs", "1"]
+    rc = cli.main(argv + ["--ensemble", str(mlp.MAX_ENSEMBLE + 1),
+                          "--out-dir", str(tmp_path / "a")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: ensemble size must be <= {mlp.MAX_ENSEMBLE}, got {mlp.MAX_ENSEMBLE + 1}\n")
+    rc = cli.main(argv + ["--model-name", os.path.join("sub", "dir", "m.bin"),
+                          "--out-dir", str(tmp_path / "b")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --model-name sub") and err.count("\n") == 1
+    assert not list((tmp_path / "a").glob("*")) and not list((tmp_path / "b").glob("*"))
+
+
 def _readme():
     """README's `sparsebeam` command lines, continuations joined, and its
     prose outside code blocks."""
@@ -560,6 +607,16 @@ def test_sbsa_charges_first_greedy_step_to_budget(scenario_path, tmp_path, capsy
     assert len(lines) == 1 and lines[0].startswith("error: 3000 starts x 2999")
 
 
+def test_sbsa_budget_message_counts_cells(scenario_path, tmp_path, capsys):
+    # each float64 candidate mask of 12 sensors is charged as 8 x 12 = 96 cells
+    rc = cli.main(["sbsa", scenario_path, "--n-grid", "12", "--n-select", "6",
+                   "--budget", "5", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: 12 starts x 11 = 132 candidate float64 masks of 96 cells "
+        "(each counted 96/64 times) exceeds the enumeration budget of 5\n")
+
+
 def test_compare_charges_every_search_to_budget(scenario_path, tmp_path, capsys):
     # the optimum and the worst case score C(8,2) = 28 subsets, but SBSA's
     # first step holds 8 starts x 7 candidates = 56 masks
@@ -616,6 +673,35 @@ def test_bad_config_exits_two_without_data(tmp_path, override):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"n_grid": 8, "n_select": 3', "Expecting ',' delimiter", id="truncated"),
+    pytest.param('{"n_grid": 8.0}', "n_grid must be an integer >= 2, got 8.0", id="field"),
+])
+def test_bad_config_error_names_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert cli.main(["gen-data", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: experiment config: {message}")
+    assert err.count("\n") == 1
+
+
+def test_train_batch_taller_than_the_data_runs_in_bounded_memory(config_path, tmp_path):
+    # 100,000,000 rows of workspace would need far more than the 2 GiB cap;
+    # the 12 training rows make every batch the whole set, as --batch-size 12
+    data = tmp_path / "data"
+    cli.main(["gen-data", config_path, "--part", "train", "--out-dir", str(data)])
+    models = {}
+    for batch in ("100000000", "12"):
+        out = tmp_path / f"fit{batch}"
+        proc = run_capped(["train", str(data / "train.csv"), "--hidden", "6", "--epochs", "3",
+                           "--val-fraction", "0", "--batch-size", batch, "--seed", "1",
+                           "--out-dir", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        models[batch] = (out / "model.bin").read_bytes()
+    assert models["100000000"] == models["12"]
 
 
 @pytest.mark.parametrize("label_source", ["enumeration", "sbsa"])

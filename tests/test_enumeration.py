@@ -8,7 +8,7 @@ import pytest
 
 from sparsebeam import beamformer, enumeration, scene
 
-from .oracles import (oracle_best_subset, oracle_covariances,
+from .oracles import (csv_writer_bytes, oracle_best_subset, oracle_covariances,
                       oracle_subset_sinr, oracle_worst_subset,
                       random_oracle_case)
 
@@ -76,9 +76,11 @@ def test_enumerate_all_ranked_masks_match_rank_ids():
     geom, scn = scenario_from_case(desired, doas, powers, 9)
     combos = list(itertools.combinations(range(9), 4))
     for with_objective in (False, True):
-        for rc in enumeration.enumerate_all_ranked(geom, scn, 4, with_objective=with_objective):
-            assert tuple(np.flatnonzero(rc.mask)) == combos[rc.rank_id]
-            assert rc.mask.sum() == 4
+        ranking = enumeration.enumerate_all_ranked(geom, scn, 4, with_objective=with_objective)
+        for rank_id, subset in zip(ranking.rank_ids, ranking.subsets):
+            mask = beamformer.mask_from_indices(subset, 9)
+            assert tuple(np.flatnonzero(mask)) == tuple(subset) == combos[rank_id]
+            assert mask.sum() == 4
 
 
 def test_enumerate_best_matches_reference_on_small_cases():
@@ -115,23 +117,24 @@ def test_enumerate_all_ranked_is_sorted_and_complete():
     rng = np.random.default_rng(3)
     desired, doas, powers = random_oracle_case(rng, 8)
     geom, scn = scenario_from_case(desired, doas, powers, 8)
-    ranked = enumeration.enumerate_all_ranked(geom, scn, 3)
-    assert len(ranked) == math.comb(8, 3)
-    sinrs = [rc.sinr.linear for rc in ranked]
+    ranking = enumeration.enumerate_all_ranked(geom, scn, 3)
+    assert len(ranking.rank_ids) == len(ranking.subsets) == math.comb(8, 3)
+    sinrs = ranking.sinr.tolist()
     assert all(a >= b for a, b in zip(sinrs, sinrs[1:]))
-    assert sorted(rc.rank_id for rc in ranked) == list(range(len(ranked)))
+    assert sorted(ranking.rank_ids.tolist()) == list(range(len(sinrs)))
+    assert ranking.omega is None
     # head of the ranking agrees with the single-best search
     best = enumeration.enumerate_best(geom, scn, 3)
-    assert ranked[0].sinr.linear == pytest.approx(best.sinr.linear, rel=1e-12)
+    assert ranking.sinr[0] == pytest.approx(best.sinr.linear, rel=1e-12)
 
 
 def test_enumerate_all_ranked_objective_ordering():
     rng = np.random.default_rng(4)
     desired, doas, powers = random_oracle_case(rng, 8)
     geom, scn = scenario_from_case(desired, doas, powers, 8)
-    ranked = enumeration.enumerate_all_ranked(geom, scn, 3, with_objective=True)
-    omegas = [rc.objective for rc in ranked]
-    assert all(o is not None for o in omegas)
+    ranking = enumeration.enumerate_all_ranked(geom, scn, 3, with_objective=True)
+    assert ranking.omega is not None and len(ranking.omega) == len(ranking.rank_ids)
+    omegas = ranking.omega.tolist()
     assert all(a <= b for a, b in zip(omegas, omegas[1:]))
 
 
@@ -202,15 +205,26 @@ def test_ranked_csv_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     desired, doas, powers = random_oracle_case(rng, 7)
     geom, scn = scenario_from_case(desired, doas, powers, 7)
-    ranked = enumeration.enumerate_all_ranked(geom, scn, 3, with_objective=True)
-    path = tmp_path / "ranked.csv"
-    enumeration.write_ranked_csv(path, ranked)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "rank_id,mask_bits,sinr_db,omega"
-    assert len(lines) == len(ranked) + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == ranked[0].rank_id
-    assert float(first[2]) == ranked[0].sinr.db
+    for with_objective in (False, True):
+        ranking = enumeration.enumerate_all_ranked(geom, scn, 3, with_objective=with_objective)
+        path = tmp_path / "ranked.csv"
+        enumeration.write_ranked_csv(path, ranking)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "rank_id,mask_bits,sinr_db,omega"
+        assert len(lines) == len(ranking.rank_ids) + 1
+        first = lines[1].split(",")
+        assert int(first[0]) == ranking.rank_ids[0]
+        assert float(first[2]) == beamformer.Sinr(float(ranking.sinr[0])).db
+        assert (first[3] == "") == (not with_objective)
+        # row by row: the cells csv.writer would write for each configuration
+        rows = []
+        for k in range(len(ranking.rank_ids)):
+            mask = beamformer.mask_from_indices(ranking.subsets[k], 7)
+            omega = "" if ranking.omega is None else repr(float(ranking.omega[k]))
+            rows.append([int(ranking.rank_ids[k]), beamformer.mask_bits(mask),
+                         repr(beamformer.Sinr(float(ranking.sinr[k])).db), omega])
+        assert path.read_bytes() == csv_writer_bytes(
+            tmp_path / "want.csv", ["rank_id", "mask_bits", "sinr_db", "omega"], rows)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
@@ -247,12 +261,14 @@ def test_masks_sinr_agrees_with_enumeration_table():
         p = int(rng.integers(2, n))
         desired, doas, powers = random_oracle_case(rng, n)
         geom, scn = scenario_from_case(desired, doas, powers, n)
-        ranked = enumeration.enumerate_all_ranked(geom, scn, p)
-        for rc in ranked[:5] + ranked[-5:]:
-            alone = float(beamformer.masks_sinr(geom, scn, rc.mask)[0])
-            assert abs(alone - rc.sinr.linear) <= beamformer.REL_TIE_TOL * rc.sinr.linear
+        ranking = enumeration.enumerate_all_ranked(geom, scn, p)
+        count = len(ranking.rank_ids)
+        for k in [*range(5), *range(count - 5, count)]:
+            mask = beamformer.mask_from_indices(ranking.subsets[k], n)
+            alone = float(beamformer.masks_sinr(geom, scn, mask)[0])
+            assert abs(alone - ranking.sinr[k]) <= beamformer.REL_TIE_TOL * ranking.sinr[k]
         best = enumeration.enumerate_best(geom, scn, p)
-        assert best.sinr.linear >= ranked[0].sinr.linear / (1.0 + beamformer.REL_TIE_TOL)
+        assert best.sinr.linear >= ranking.sinr[0] / (1.0 + beamformer.REL_TIE_TOL)
 
 
 def test_subset_table_is_shared_and_read_only():

@@ -8,6 +8,8 @@ import pytest
 
 from sparsebeam import beamformer, cli, enumeration, harness, mlp, nnc, scene
 
+from .oracles import csv_writer_bytes
+
 
 def tiny_config(**overrides):
     base = dict(n_grid=8, n_select=3, look_doas_deg=(60.0,),
@@ -284,6 +286,10 @@ def test_overlap_sweep_consistency(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "position,rank_id,omega,sinr_db"
     assert len(lines) == n + 1
+    rows = zip(range(n), sweep.rank_ids.tolist(), sweep.omegas.tolist(),
+               sweep.sinr_db.tolist())
+    assert path.read_bytes() == csv_writer_bytes(
+        tmp_path / "want.csv", ["position", "rank_id", "omega", "sinr_db"], rows)
 
 
 def jittered_sweep_scenes(seed, count):
@@ -315,10 +321,19 @@ def test_overlap_sweep_breaks_exact_ties_by_rank_id():
 @pytest.mark.parametrize("chunk", [7, 1 << 16])
 def test_sweep_csv_is_independent_of_chunking(monkeypatch, tmp_path, chunk):
     geom = scene.ArrayGeometry(16)
+    writers = {
+        "sweep": lambda path, scn: harness.write_sweep_csv(
+            path, harness.overlap_sweep(geom, scn, 6)),
+        "ranked": lambda path, scn: enumeration.write_ranked_csv(
+            path, enumeration.enumerate_all_ranked(geom, scn, 6)),
+        "ranked-objective": lambda path, scn: enumeration.write_ranked_csv(
+            path, enumeration.enumerate_all_ranked(geom, scn, 6, with_objective=True)),
+    }
     for i, scn in enumerate(jittered_sweep_scenes(82, 2)):
-        want, got = tmp_path / f"want{i}.csv", tmp_path / f"got{i}.csv"
-        harness.write_sweep_csv(want, harness.overlap_sweep(geom, scn, 6))
-        with monkeypatch.context() as patch:
-            patch.setattr(enumeration, "_CHUNK", chunk)
-            harness.write_sweep_csv(got, harness.overlap_sweep(geom, scn, 6))
-        assert got.read_bytes() == want.read_bytes()
+        for name, write in writers.items():
+            want, got = tmp_path / f"want-{name}{i}.csv", tmp_path / f"got-{name}{i}.csv"
+            write(want, scn)
+            with monkeypatch.context() as patch:
+                patch.setattr(enumeration, "_CHUNK", chunk)
+                write(got, scn)
+            assert got.read_bytes() == want.read_bytes()

@@ -325,6 +325,11 @@ def test_loads_float64_ensemble_file(tmp_path):
                                             mlp.init_model([5, 6, 3], seed=0)])
     with pytest.raises(ValueError, match="share layer sizes"):
         mlp.load_model(tmp_path / "mixed.bin")
+    # the writer refuses the member counts the loader refuses
+    for count in (0, mlp.MAX_ENSEMBLE + 1):
+        with pytest.raises(ValueError, match=f"got {count}"):
+            mlp.save_model(tmp_path / "refused.bin", [mlp.init_model(sizes, seed=0)] * count)
+    assert not (tmp_path / "refused.bin").exists()
 
 
 @pytest.mark.parametrize("flags", [1, 2])
@@ -384,3 +389,6 @@ def test_train_config_validation():
         mlp.TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         mlp.TrainConfig(monitor="accuracy")
+    for rate in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            mlp.TrainConfig(learning_rate=rate)
