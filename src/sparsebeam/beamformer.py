@@ -15,7 +15,9 @@ factorization per subset, vectorized over subsets.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,7 @@ REL_TIE_TOL = 1e-12
 # rank-1 test for PSD matrices: frobenius norm equals trace iff rank <= 1
 _RANK1_REL_TOL = 1e-9
 _DENOM_FLOOR = 1e-15
+_CSV_BLOCK_CELLS = 1 << 15
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -51,7 +54,7 @@ def sinr_db(linear) -> np.ndarray:
     return 10.0 * np.log10(linear)
 
 
-# --- selection-vector helpers ---------------------------------------------
+# --- selection vectors and CSV output -------------------------------------
 
 
 def validate_mask(mask, n_grid=None) -> np.ndarray:
@@ -79,8 +82,38 @@ def indices_from_mask(mask) -> np.ndarray:
     return np.flatnonzero(np.asarray(mask))
 
 
-def mask_bits(mask) -> str:
-    return "".join("1" if b else "0" for b in np.asarray(mask, dtype=int))
+def mask_bits(masks):
+    """The '0'/'1' string of a mask (nonzero entries are '1'), or the list of
+    them for a (M, N) stack: the one formatter of every mask written out."""
+    z = np.asarray(masks)
+    chars = (z != 0).view(np.uint8) + ord("0")
+    text = chars.view(f"S{z.shape[-1]}").ravel().astype(str).tolist()
+    return text[0] if z.ndim == 1 else text
+
+
+def write_csv(path, header, rows) -> int:
+    """Write `header` and `rows` (any iterable of equal-width cell sequences,
+    formatted as drawn and written _CSV_BLOCK_CELLS cells at a time) as CSV;
+    returns the number of rows. The one format of every file the package
+    writes: "," between cells, "\r\n" after every line, each cell its str()
+    (an int or float, numpy float64 too, its repr) and nothing quoted, so no
+    string may hold ",", '"' or a line break. When `rows` raises, the file
+    is removed."""
+    rows = map(tuple, rows)
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    per_block = max(1, _CSV_BLOCK_CELLS // len(header))
+    count = 0
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            fh.write(",".join(header) + "\r\n")
+            while lines := list(map(line.__mod__, itertools.islice(rows, per_block))):
+                fh.write("".join(lines))
+                count += len(lines)
+    except BaseException:
+        os.remove(path)
+        raise
+    return count
 
 
 # --- core operations -------------------------------------------------------

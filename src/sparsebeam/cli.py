@@ -9,7 +9,6 @@ configuration or input, 3 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -143,6 +142,9 @@ def cmd_eval(args) -> int:
         name, _, path = entry.partition("=")
         if not name or not path:
             raise ValueError(f"--model expects NAME=PATH, got {entry!r}")
+        # the name heads two report.csv columns, and CSV cells are not quoted
+        if any(c in name for c in ',"\r\n'):
+            raise ValueError(f"--model name {name!r} holds a comma, a quote or a line break")
         if name in models:
             raise ValueError(f"--model name {name!r} is given more than once")
         models[name] = mlp.load_model(path)
@@ -185,17 +187,15 @@ def cmd_sbsa(args) -> int:
     geom, scn = _load_scene(args)
     result = sbsa.sbsa_select(geom, scn, args.n_select, budget=args.budget)
     print(f"mask={beamformer.mask_bits(result.mask)} sinr_db={result.sinr.db!r}")
-    path = os.path.join(args.out_dir, "sbsa_starts.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["start", "step", "chosen_index", "omega", "final_mask_bits",
-                    "final_sinr_db"])
-        for tr in result.starts:
-            bits = beamformer.mask_bits(tr.mask)
-            for step, (idx, val) in enumerate(tr.steps, start=1):
-                w.writerow([tr.start, step, idx, repr(val), bits, repr(tr.sinr.db)])
-            if not tr.steps:
-                w.writerow([tr.start, 0, tr.start, "", bits, repr(tr.sinr.db)])
+    rows = []
+    for tr in result.starts:
+        bits = beamformer.mask_bits(tr.mask)
+        # a start that takes no step (P = 1) is one step-0 row with no omega
+        steps = list(enumerate(tr.steps, start=1)) or [(0, (tr.start, ""))]
+        rows += [[tr.start, step, idx, val, bits, tr.sinr.db] for step, (idx, val) in steps]
+    beamformer.write_csv(os.path.join(args.out_dir, "sbsa_starts.csv"),
+                         ["start", "step", "chosen_index", "omega", "final_mask_bits",
+                          "final_sinr_db"], rows)
     doc = _scene_doc(args, scn)
     doc.update({
         "result_mask_bits": beamformer.mask_bits(result.mask),
@@ -257,12 +257,9 @@ def cmd_compare(args) -> int:
     rows = [("enumeration", beamformer.mask_bits(best.mask), opt_db)]
     rows += [(m, "" if m == "random" else beamformer.mask_bits(masks[m]),
               float(np.mean(beamformer.sinr_db(vals[m])))) for m in masks]
-    path = os.path.join(args.out_dir, "compare.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "mask_bits", "sinr_db", "gap_db"])
-        for name, bits, db in rows:
-            w.writerow([name, bits, repr(db), repr(opt_db - db)])
+    beamformer.write_csv(os.path.join(args.out_dir, "compare.csv"),
+                         ["method", "mask_bits", "sinr_db", "gap_db"],
+                         [(name, bits, db, opt_db - db) for name, bits, db in rows])
     for name, bits, db in rows:
         label = f" {bits}" if bits else ""
         print(f"{name:>12}: {db:8.3f} dB (gap {opt_db - db:.3f} dB){label}")

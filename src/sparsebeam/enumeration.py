@@ -210,18 +210,9 @@ def enumerate_all_ranked(geom, scn, p: int, with_objective: bool = False,
     return Ranking(n, order, subsets, sinrs[order], omegas[order] if with_objective else None)
 
 
-def write_columns(path, header, columns) -> None:
-    """CSV in one write, as csv.writer writes cells that need no quotes: a
-    numpy column's cells are the repr of its values, any other's are strings."""
-    cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) else c for c in columns]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
-
-
 def write_ranked_csv(path, ranking: Ranking) -> None:
     """Dump a ranking as CSV: rank_id, mask_bits, sinr_db, omega (or empty)."""
-    chars = (_index_masks(ranking.subsets, ranking.n_grid) + ord("0")).astype(np.uint8)
-    bits = chars.view(f"S{ranking.n_grid}").ravel().astype(str).tolist()
-    omega = [""] * len(bits) if ranking.omega is None else ranking.omega
-    write_columns(path, ["rank_id", "mask_bits", "sinr_db", "omega"],
-                  [ranking.rank_ids, bits, sinr_db(ranking.sinr), omega])
+    bits = beamformer.mask_bits(_index_masks(ranking.subsets, ranking.n_grid))
+    omega = [""] * len(bits) if ranking.omega is None else ranking.omega.tolist()
+    beamformer.write_csv(path, ["rank_id", "mask_bits", "sinr_db", "omega"], zip(
+        ranking.rank_ids.tolist(), bits, sinr_db(ranking.sinr).tolist(), omega))

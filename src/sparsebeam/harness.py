@@ -13,7 +13,6 @@ distinct subsets (mirror images, translations) tie it only up to rounding.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import beamformer, enumeration, mlp, sbsa, snapshots
-from .beamformer import REL_TIE_TOL, Sinr, mask_bits, mask_from_indices
+from .beamformer import REL_TIE_TOL, Sinr, mask_bits, mask_from_indices, write_csv
 from .scene import (ArrayGeometry, Scenario, SourceSpec, check_real, correlation_matrices,
                     db_power)
 
@@ -505,13 +504,7 @@ def write_report_csv(path, result: EvaluationResult) -> None:
     cols = ["scenario_id", "look_doa_deg", "n_interferers", "opt_mask_bits", "opt_sinr_db"]
     for m in result.method_names:
         cols += [f"{m}_mask_bits", f"{m}_sinr_db"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for row in result.rows:
-            w.writerow([
-                repr(row[c]) if isinstance(row[c], float) else row[c] for c in cols
-            ])
+    write_csv(path, cols, ([row[c] for c in cols] for row in result.rows))
 
 
 # --- objective-vs-SINR sweep --------------------------------------------------
@@ -551,5 +544,6 @@ def overlap_sweep(geom, scn, p: int, budget: int = enumeration.DEFAULT_BUDGET) -
 
 
 def write_sweep_csv(path, sweep: OverlapSweep) -> None:
-    enumeration.write_columns(path, ["position", "rank_id", "omega", "sinr_db"], [
-        np.arange(len(sweep.omegas)), sweep.rank_ids, sweep.omegas, sweep.sinr_db])
+    write_csv(path, ["position", "rank_id", "omega", "sinr_db"], zip(
+        range(len(sweep.omegas)), sweep.rank_ids.tolist(), sweep.omegas.tolist(),
+        sweep.sinr_db.tolist()))

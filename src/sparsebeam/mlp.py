@@ -23,7 +23,6 @@ import csv
 import itertools
 import json
 import math
-import os
 import re
 import struct
 import time
@@ -31,11 +30,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import beamformer
+
 _MAGIC = b"MLPB"
 _MAGIC_ENSEMBLE = b"MLPE"
 _FORMAT = 1
 # most networks one model file holds; save_model and load_model both enforce it
 MAX_ENSEMBLE = 4096
+# most parameters one network or ensemble may hold (32 MiB of float64); a fit
+# holds a few float32 and float64 copies of its network, so this bounds them
+MAX_PARAMETERS = 1 << 22
 # preprocessing flag byte of a raw network, and of a trained one (power-normalized, standardized)
 _RAW, _TRAINED = 0, 3
 _SCALE_FLOOR = 1e-12
@@ -308,6 +312,8 @@ class TrainConfig:
             raise ValueError("batch_size/max_epochs must be >= 1, patience >= 0")
         if self.monitor not in ("loss", "selection"):
             raise ValueError("monitor must be 'loss' or 'selection'")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError(f"hidden layer widths must be >= 1, got {list(self.hidden_sizes)}")
 
 
 @dataclass
@@ -370,8 +376,8 @@ def train(features, labels, cfg: TrainConfig | None = None,
     TrainWorkspace: the training rows are standardized once in float64 and
     cast, and dropout is drawn in float64 from the same rng as the shuffles.
     Each epoch's parameters are upcast to float64 and scored on the
-    validation rows with forward/predict_selection; the returned model is
-    float64.
+    validation rows by one forward, whose scores also give the selection
+    monitor's top-P masks; the returned model is float64.
 
     The train/validation split draws from its own generator, seeded with
     cfg.split_seed (falling back to cfg.rng_seed), so a lone fit equals the
@@ -443,8 +449,9 @@ def train(features, labels, cfg: TrainConfig | None = None,
                 raise TrainingDivergedError(
                     f"non-finite validation loss at epoch {epoch}")
             if cfg.monitor == "selection":
-                p = int(round(float(y_val[0].sum())))
-                chosen = predict_selection([model], x_val, p)
+                # one network's scores are its ensemble mean, so this is
+                # predict_selection([model], x_val, p) without a second forward
+                chosen = _top_p(pred, int(round(float(y_val[0].sum()))))
                 acc = float((chosen == y_val).all(axis=1).mean())
                 # exact-match first, validation loss breaks the ties the
                 # coarse rate leaves behind
@@ -476,13 +483,19 @@ def train_ensemble(features, labels, cfg: TrainConfig | None = None,
 
     Member i trains with rng_seed cfg.rng_seed + i; every member shares one
     train/validation split (cfg.split_seed, falling back to cfg.rng_seed) so
-    all checkpoints are selected against the same held-out rows.
+    all checkpoints are selected against the same held-out rows. The members
+    together hold at most MAX_PARAMETERS parameters, checked before any fit.
     """
     if n_members < 1:
         raise ValueError(f"ensemble size must be >= 1, got {n_members}")
     if n_members > MAX_ENSEMBLE:
         raise ValueError(f"ensemble size must be <= {MAX_ENSEMBLE}, got {n_members}")
     cfg = cfg or TrainConfig()
+    sizes = [np.shape(features)[-1], *cfg.hidden_sizes, np.shape(labels)[-1]]
+    count = n_members * sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))
+    if count > MAX_PARAMETERS:
+        raise ValueError(f"{n_members} network(s) of layer sizes {sizes} hold {count} "
+                         f"parameters, more than the cap of {MAX_PARAMETERS}")
     split_seed = cfg.split_seed if cfg.split_seed is not None else cfg.rng_seed
     split = split_train_validation(len(features), cfg.validation_fraction,
                                    np.random.default_rng(split_seed), scenario_ids)
@@ -498,15 +511,19 @@ def predict_selection(nets: list[MlpModel], features, p: int) -> np.ndarray:
     """Top-P decode of the networks' mean scores into a 0/1 mask (ties: lower
     index); 2-D input gives one mask per row."""
     x = np.asarray(features, dtype=float)
-    single = x.ndim == 1
-    scores = np.atleast_2d(np.mean([forward(net, x) for net in nets], axis=0))
+    masks = _top_p(np.atleast_2d(np.mean([forward(net, x) for net in nets], axis=0)), p)
+    return masks[0] if x.ndim == 1 else masks
+
+
+def _top_p(scores: np.ndarray, p: int) -> np.ndarray:
+    """0/1 mask of each (B, N) score row's P highest entries (ties: lower index)."""
     n = scores.shape[1]
     if not 1 <= p <= n:
         raise ValueError(f"P must satisfy 1 <= P <= {n}")
     order = np.argsort(-scores, axis=1, kind="stable")
     masks = np.zeros(scores.shape, dtype=int)
     np.put_along_axis(masks, order[:, :p], 1, axis=1)
-    return masks[0] if single else masks
+    return masks
 
 
 def _write_single(fh, model: MlpModel) -> None:
@@ -631,26 +648,12 @@ def write_dataset_csv(path, records) -> int:
     first = next(records, None)
     if first is None:
         raise ValueError("refusing to write an empty dataset")
-    n_feat = len(first.features)
-    header = ["scenario_id", "look_doa_deg"]
-    header += [f"f_{i}" for i in range(n_feat)]
-    header += ["label_mask_bits"]
-    fh = open(path, "w", newline="")
-    try:
-        with fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for count, rec in enumerate(itertools.chain([first], records), start=1):
-                if len(rec.features) != n_feat:
-                    raise ValueError("inconsistent feature lengths in dataset")
-                row = [rec.scenario_id, repr(float(rec.look_doa_deg))]
-                row += [repr(float(v)) for v in rec.features]
-                row += ["".join(str(int(b)) for b in rec.label_mask)]
-                writer.writerow(row)
-    except BaseException:
-        os.remove(path)
-        raise
-    return count
+    header = ["scenario_id", "look_doa_deg", *(f"f_{i}" for i in range(len(first.features))),
+              "label_mask_bits"]
+    return beamformer.write_csv(path, header, (
+        [rec.scenario_id, float(rec.look_doa_deg), *np.asarray(rec.features, float).tolist(),
+         beamformer.mask_bits(rec.label_mask)]
+        for rec in itertools.chain([first], records)))
 
 
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:

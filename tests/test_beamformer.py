@@ -5,7 +5,7 @@ import pytest
 
 from sparsebeam import beamformer, scene
 
-from .oracles import oracle_dense_subset_sinr
+from .oracles import csv_writer_bytes, oracle_dense_subset_sinr
 
 
 def build(l_count=2, seed=0, n_grid=10, desired=60.0):
@@ -28,6 +28,35 @@ def test_mask_helpers_round_trip():
     assert z.tolist() == [1, 0, 0, 1, 0, 1, 0, 0]
     assert beamformer.indices_from_mask(z).tolist() == [0, 3, 5]
     assert beamformer.mask_bits(z) == "10010100"
+    stack = np.array([z, 1 - z], dtype=float)
+    assert beamformer.mask_bits(stack) == ["10010100", "01101011"]
+    assert beamformer.mask_bits(stack.astype(bool)[:, ::-1]) == ["00101001", "11010110"]
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 1 << 15])
+def test_write_csv_matches_csv_writer(tmp_path, monkeypatch, block_cells):
+    monkeypatch.setattr(beamformer, "_CSV_BLOCK_CELLS", block_cells)
+    values = np.random.default_rng(3).normal(size=40) * 10.0 ** np.arange(-20, 20)
+    rows = [[f"row{k}", k, v, "", np.float64(v) / 3, np.int64(k) - 9]
+            for k, v in enumerate(values.tolist())]
+    path = tmp_path / "out.csv"
+    header = ["name", "k", "value", "empty", "third", "shifted"]
+    assert beamformer.write_csv(path, header, iter(rows)) == len(rows)
+    want = [[*r[:4], float(r[4]), int(r[5])] for r in rows]
+    assert path.read_bytes() == csv_writer_bytes(tmp_path / "want.csv", header, want)
+    assert path.read_bytes().endswith(b"\r\n")
+
+
+def test_write_csv_leaves_no_file_when_rows_fail(tmp_path):
+    def rows():
+        yield ["a", 1.0]
+        raise RuntimeError("rows broke")
+
+    with pytest.raises(RuntimeError, match="rows broke"):
+        beamformer.write_csv(tmp_path / "broken.csv", ["s", "x"], rows())
+    with pytest.raises(TypeError):
+        beamformer.write_csv(tmp_path / "wide.csv", ["s", "x"], [["a", 1.0, 2.0]])
+    assert not list(tmp_path.glob("*"))
 
 
 def test_validate_mask_rejects_bad_inputs():

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 import sparsebeam
-from sparsebeam import cli, enumeration, harness, mlp, scene
+from sparsebeam import cli, enumeration, harness, mlp, sbsa, scene
+
+from .oracles import csv_writer_bytes
 
 
 @pytest.fixture()
@@ -113,10 +115,19 @@ def test_eval_command_scores_model_and_nnc(config_path, tmp_path, capsys):
     pytest.param(["--model", "sbsa={model}"], id="model-is-builtin"),
     pytest.param(["--methods", ",,"], id="no-method"),
     pytest.param(["--methods", "compact_ula", "--model", "={model}"], id="model-unnamed"),
+    # report.csv cells are not quoted, so a model name, which heads two of its
+    # columns, may hold no separator, quote or line break
+    *(pytest.param(["--model", f"{name}={{model}}"], id=f"model-name-{label}")
+      for name, label in [("a,b", "comma"), ('a"b', "quote"), ("a\nb", "lf"), ("a\rb", "cr")]),
 ])
-def test_eval_rejects_colliding_method_names(config_path, tmp_path, capsys, extra):
+def test_eval_rejects_colliding_method_names(config_path, tmp_path, capsys, monkeypatch, extra):
     model = tmp_path / "model.bin"
     mlp.save_model(model, [mlp.init_model([15, 4, 8], seed=0)])
+
+    def no_scenes(*args, **kwargs):
+        pytest.fail("a scene was drawn before the method names were checked")
+
+    monkeypatch.setattr(harness, "scenario_stream", no_scenes)
     out = tmp_path / "out"
     argv = ["eval", config_path, *(a.format(model=model) for a in extra), "--out-dir", str(out)]
     assert cli.main(argv) == 2
@@ -179,6 +190,22 @@ def test_sbsa_command(scenario_path, tmp_path, capsys):
         manifest = json.load(fh)
     bits = manifest["result_mask_bits"]
     assert len(bits) == 8 and bits.count("1") == 3
+    # byte for byte what csv.writer writes for each start's steps; with one
+    # sensor to place a start takes no step and its omega cell is empty
+    header = ["start", "step", "chosen_index", "omega", "final_mask_bits", "final_sinr_db"]
+    geom, scn = scene.ArrayGeometry(8), scene.load_scenario(scenario_path)
+    for p in (3, 1):
+        out = tmp_path / f"p{p}"
+        assert cli.main(["sbsa", scenario_path, "--n-grid", "8", "--n-select", str(p),
+                         "--out-dir", str(out)]) == 0
+        rows = []
+        for tr in sbsa.sbsa_select(geom, scn, p).starts:
+            final = ["".join("01"[int(b)] for b in tr.mask), tr.sinr.db]
+            rows += [[tr.start, k, idx, val, *final] for k, (idx, val) in
+                     enumerate(tr.steps, start=1)] or [[tr.start, 0, tr.start, "", *final]]
+        assert (out / "sbsa_starts.csv").read_bytes() == csv_writer_bytes(
+            tmp_path / "want.csv", header, rows)
+        assert len(rows) == 8 * max(p - 1, 1)
 
 
 def test_enumerate_command_and_budget_exit_code(scenario_path, tmp_path, capsys):
@@ -240,6 +267,10 @@ def test_compare_command_gaps_nonnegative(scenario_path, tmp_path):
     # the optimum is scored in the methods' batch and matches the oracle's table
     best = enumeration.enumerate_best(scene.ArrayGeometry(8), scene.load_scenario(scenario_path), 3)
     assert rows[1][2:] == [repr(best.sinr.db), "0.0"]
+    # byte for byte what csv.writer writes for the cells read back
+    cells = [[name, bits, float(db), float(gap)] for name, bits, db, gap in rows[1:]]
+    assert (out / "compare.csv").read_bytes() == csv_writer_bytes(
+        tmp_path / "want.csv", rows[0], cells)
 
 
 def test_bad_inputs_exit_code_two(tmp_path, scenario_path, capsys):
@@ -702,6 +733,27 @@ def test_train_batch_taller_than_the_data_runs_in_bounded_memory(config_path, tm
         assert proc.returncode == 0, proc.stderr
         models[batch] = (out / "model.bin").read_bytes()
     assert models["100000000"] == models["12"]
+
+
+@pytest.mark.parametrize("hidden, ensemble, message", [
+    pytest.param("1000000000", "1", "hold 24000000008 parameters, more than the cap of 4194304",
+                 id="one-huge-layer"),
+    pytest.param("100000", "2", "2 network(s) of layer sizes [15, 100000, 8]", id="ensemble"),
+    pytest.param("6,0", "1", "hidden layer widths must be >= 1, got [6, 0]", id="zero-width"),
+])
+def test_train_rejects_oversized_network_before_allocating(config_path, tmp_path, hidden,
+                                                            ensemble, message):
+    # a 15-10^9-8 network's first Xavier draw alone would be 112 GiB; each
+    # member of the 15-100000-8 pair holds 2.4M parameters, 4.8M together
+    data = tmp_path / "data"
+    cli.main(["gen-data", config_path, "--part", "train", "--out-dir", str(data)])
+    out = tmp_path / "fit"
+    proc = run_capped(["train", str(data / "train.csv"), "--hidden", hidden, "--epochs", "1",
+                       "--ensemble", ensemble, "--out-dir", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert not list(out.glob("*"))
 
 
 @pytest.mark.parametrize("label_source", ["enumeration", "sbsa"])

@@ -262,11 +262,21 @@ def test_evaluate_scores_each_scene_once_and_optimal_picks_report_the_optimum(
 
 def test_report_csv_is_byte_identical_across_runs(tmp_path):
     cfg = tiny_config(n_test_per_look=5)
-    methods = ["sbsa", "compact_ula", "random"]
+    train = list(harness.scenario_stream(cfg, "train"))
+    index = nnc.NncIndex(np.stack([ex.features for ex in train]),
+                         np.stack([ex.label_mask for ex in train]))
+    models = {"dnn": [mlp.init_model([2 * cfg.n_grid - 1, 10, cfg.n_grid], seed=4)]}
+    methods = ["dnn", "nnc", "sbsa", "compact_ula", "sparse_ula", "random", "worst_case"]
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    harness.write_report_csv(p1, harness.evaluate(cfg, methods, n_random=10))
-    harness.write_report_csv(p2, harness.evaluate(cfg, methods, n_random=10))
+    for path in (p1, p2):
+        result = harness.evaluate(cfg, methods, models=models, nnc_index=index, n_random=10)
+        harness.write_report_csv(path, result)
     assert p1.read_bytes() == p2.read_bytes()
+    # byte for byte what csv.writer writes for the same cells
+    cols = ["scenario_id", "look_doa_deg", "n_interferers", "opt_mask_bits", "opt_sinr_db"]
+    cols += [f"{m}_{c}" for m in methods for c in ("mask_bits", "sinr_db")]
+    assert p1.read_bytes() == csv_writer_bytes(
+        tmp_path / "want.csv", cols, [[row[c] for c in cols] for row in result.rows])
 
 
 def test_overlap_sweep_consistency(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from sparsebeam import harness, mlp, scene
 
-from .oracles import oracle_train_steps
+from .oracles import csv_writer_bytes, oracle_train_steps
 
 
 def toy_dataset(n=64, n_features=9, n_out=5, seed=0):
@@ -378,6 +378,21 @@ def test_dataset_csv_round_trip(tmp_path):
     assert not (tmp_path / "partial.csv").exists()
     with pytest.raises(ValueError, match="empty"):
         mlp.write_dataset_csv(tmp_path / "empty.csv", iter([]))
+
+    # byte for byte what csv.writer writes for the same cells, for either
+    # labeler and for exact and finite-sample features
+    for label_source, n_snapshots in [("enumeration", None), ("sbsa", None),
+                                      ("enumeration", 512), ("sbsa", 512)]:
+        records = list(harness.scenario_stream(
+            harness.ExperimentConfig(n_grid=6, n_select=3, look_doas_deg=(60.0, 30.0),
+                                     n_train_per_look=3, n_snapshots=n_snapshots, seed=2),
+            "train", label_source))
+        assert mlp.write_dataset_csv(path, records) == 6
+        header = ["scenario_id", "look_doa_deg", *(f"f_{i}" for i in range(11)),
+                  "label_mask_bits"]
+        rows = [[r.scenario_id, r.look_doa_deg, *map(float, r.features),
+                 "".join("01"[int(b)] for b in r.label_mask)] for r in records]
+        assert path.read_bytes() == csv_writer_bytes(tmp_path / "want.csv", header, rows)
 
 
 def test_train_config_validation():
