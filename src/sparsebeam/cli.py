@@ -170,8 +170,7 @@ def cmd_eval(args) -> int:
         "config_sha256": harness.config_hash(cfg),
         "n_scenarios": len(result.rows),
         "methods": result.method_names,
-        "summaries": {m: {k: v for k, v in asdict(s).items() if k != "name"}
-                      for m, s in result.summaries.items()},
+        "summaries": {m: asdict(s) for m, s in result.summaries.items()},
         "runtime_s": result.runtime_s,
     })
     print(f"wrote {report} ({len(result.rows)} scenarios)")

@@ -384,7 +384,6 @@ def snapshot_robustness(cfg: ExperimentConfig, model, part: str = "test") -> Rob
 
 @dataclass
 class MethodSummary:
-    name: str
     mean_sinr_db: float
     mean_gap_db: float
     exact_match_rate: float | None
@@ -475,7 +474,6 @@ def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
     summaries = {}
     for m in methods:
         summaries[m] = MethodSummary(
-            name=m,
             mean_sinr_db=float(np.mean(sinrs[m])),
             mean_gap_db=float(np.mean(gaps[m])),
             exact_match_rate=None if m == "random" else matches[m] / max(n_scn, 1),

@@ -13,8 +13,10 @@ restarts that disagree mostly near a decision boundary, so predict_selection's
 mean of their scores recovers a few points of exact-match rate over one net.
 
 Training computes in float32 (COMPUTE_DTYPE) in buffers allocated once per
-fit; checkpoints are scored, stored and evaluated in float64, so model files
-and inference are float64.
+fit. The parameters, their gradient and both ADAM moments are each one flat
+vector in the model file's layout (_param_views: W_0, b_0, W_1, b_1, ...), so
+adam_step is one elementwise update. Checkpoints are scored, stored and
+evaluated in float64, so model files and inference are float64.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ MAX_ENSEMBLE = 4096
 # most parameters one network or ensemble may hold (32 MiB of float64); a fit
 # holds a few float32 and float64 copies of its network, so this bounds them
 MAX_PARAMETERS = 1 << 22
+# most batch rows x layer widths one fit may hold; its workspace keeps at most
+# 20 bytes a cell (float32 activation, dropout mask and backprop error, and a
+# float64 dropout draw), so this bounds it at 320 MiB
+MAX_BATCH_CELLS = 1 << 24
 # preprocessing flag byte of a raw network, and of a trained one (power-normalized, standardized)
 _RAW, _TRAINED = 0, 3
 _SCALE_FLOOR = 1e-12
@@ -135,76 +141,62 @@ def _param_views(flat: np.ndarray, sizes) -> tuple[list, list]:
     return weights, biases
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
-
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
-    t: int = 0
+def _param_count(sizes) -> int:
+    """Length of the flat layout of a network with these layer sizes."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
 
 
-def adam_init(model: MlpModel) -> AdamState:
-    return AdamState(
-        m_w=[np.zeros_like(w) for w in model.weights],
-        v_w=[np.zeros_like(w) for w in model.weights],
-        m_b=[np.zeros_like(b) for b in model.biases],
-        v_b=[np.zeros_like(b) for b in model.biases],
-    )
+def _flat_params(net: MlpModel, dtype) -> np.ndarray:
+    """net's weights and biases as one new vector in the _param_views layout."""
+    return np.concatenate([a.ravel() for pair in zip(net.weights, net.biases) for a in pair],
+                          dtype=dtype)
 
 
-def adam_step(model: MlpModel, grads, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One in-place ADAM update with bias-corrected moment estimates.
+def adam_step(params, grad, m, v, t: int, lr: float, *, scratch, beta1: float = 0.9,
+              beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """Step t (from 1) of ADAM with bias-corrected moment estimates, in place.
 
-    Each array is updated in its own dtype, through one scratch buffer shared
-    by all of them. The bias corrections are folded into the step and eps:
+    params, grad and the moments m and v are flat vectors of one dtype, which
+    the update computes in; scratch is a buffer of their size that the step
+    overwrites. The bias corrections are folded into the step and eps:
     lr * (m / c1) / (sqrt(v / c2) + eps) equals
     (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2)).
     """
-    state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    root_c2 = math.sqrt(1.0 - beta2 ** state.t)
+    c1 = 1.0 - beta1 ** t
+    root_c2 = math.sqrt(1.0 - beta2 ** t)
     # Python floats, so float32 buffers are updated in float32 arithmetic
     step, eps_hat = float(lr * root_c2 / c1), float(eps * root_c2)
-    params = model.weights + model.biases
-    scratch = np.empty(max(p.size for p in params), params[0].dtype)
-    for p, g, m, v in zip(params, grads["w"] + grads["b"],
-                          state.m_w + state.m_b, state.v_w + state.v_b):
-        tmp = scratch[:p.size].reshape(p.shape)
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=tmp)
-        m += tmp
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, out=tmp)
-        tmp *= g
-        v += tmp
-        np.sqrt(v, out=tmp)
-        tmp += eps_hat
-        np.divide(m, tmp, out=tmp)
-        tmp *= step
-        p -= tmp
+    m *= beta1
+    np.multiply(grad, 1.0 - beta1, out=scratch)
+    m += scratch
+    v *= beta2
+    np.multiply(grad, 1.0 - beta2, out=scratch)
+    scratch *= grad
+    v += scratch
+    np.sqrt(v, out=scratch)
+    scratch += eps_hat
+    np.divide(m, scratch, out=scratch)
+    scratch *= step
+    params -= scratch
 
 
 class TrainWorkspace:
     """Every buffer a mse_loss_and_grads call writes, allocated once for a fit.
 
-    Per layer there is a gradient for the weights and the biases, an
-    activation buffer (which backprop overwrites with that layer's error) and,
-    per hidden layer, a scaled dropout mask, all `batch_size` rows tall
-    (train passes the largest batch it takes); shorter batches use the
-    leading rows.
+    The gradient is one flat vector, `grad`, in the _param_views layout;
+    `grads` views it per layer. Per layer there is an activation buffer (which
+    backprop overwrites with that layer's error) and, per hidden layer, a
+    scaled dropout mask, all `batch_size` rows tall (train passes the largest
+    batch it takes); shorter batches use the leading rows.
     """
 
     def __init__(self, layer_sizes, batch_size: int, dtype=COMPUTE_DTYPE):
         sizes = [int(s) for s in layer_sizes]
         rows = int(batch_size)
         dtype = np.dtype(dtype)
-        pairs = list(zip(sizes[:-1], sizes[1:]))
-        self.grads = {"w": [np.empty((a, b), dtype) for a, b in pairs],
-                      "b": [np.empty(b, dtype) for _, b in pairs]}
+        self.grad = np.empty(_param_count(sizes), dtype)
+        grad_w, grad_b = _param_views(self.grad, sizes)
+        self.grads = {"w": grad_w, "b": grad_b}
         self.acts = [np.empty((rows, s), dtype) for s in sizes[1:]]
         self.masks = [np.empty((rows, s), dtype) for s in sizes[1:-1]]
         width = max(sizes[1:-1], default=0)
@@ -372,7 +364,8 @@ def train(features, labels, cfg: TrainConfig | None = None,
     parameters from the best validation epoch (train loss when there is no
     validation split). Raises TrainingDivergedError on non-finite loss.
 
-    The steps compute in COMPUTE_DTYPE on one flat parameter buffer and one
+    The steps compute in COMPUTE_DTYPE on flat vectors in the _param_views
+    layout (parameters, gradient and both ADAM moments) and one
     TrainWorkspace: the training rows are standardized once in float64 and
     cast, and dropout is drawn in float64 from the same rng as the shuffles.
     Each epoch's parameters are upcast to float64 and scored on the
@@ -406,11 +399,12 @@ def train(features, labels, cfg: TrainConfig | None = None,
     model.feature_mean = base.mean(axis=0)
     model.feature_scale = np.maximum(base.std(axis=0), _SCALE_FLOOR)
 
-    # the steps update the float32 parameters in place, through per-layer views
-    params = np.concatenate([a.ravel() for pair in zip(model.weights, model.biases)
-                             for a in pair]).astype(COMPUTE_DTYPE)
+    # the passes read the float32 parameters through per-layer views; adam_step
+    # updates them, with the gradient and moments, as flat vectors in place
+    params = _flat_params(model, COMPUTE_DTYPE)
     live = MlpModel(model.layer_sizes, *_param_views(params, model.layer_sizes))
-    adam = adam_init(live)
+    m, v, scratch = np.zeros((3, params.size), COMPUTE_DTYPE)
+    steps = itertools.count(1)
     n_tr = x_tr.shape[0]
     # no batch is taller than the training rows, whatever batch_size says
     rows = min(cfg.batch_size, n_tr)
@@ -430,11 +424,12 @@ def train(features, labels, cfg: TrainConfig | None = None,
             sel = order[lo:lo + cfg.batch_size]
             xb = np.take(x_tr, sel, axis=0, out=x_buf[:len(sel)], mode="clip")
             yb = np.take(y_tr, sel, axis=0, out=y_buf[:len(sel)], mode="clip")
-            loss, grads = mse_loss_and_grads(
+            loss, _ = mse_loss_and_grads(
                 live, xb, yb, keep_prob=cfg.keep_prob, rng=rng, workspace=workspace)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            adam_step(live, grads, adam, cfg.learning_rate)
+            adam_step(params, workspace.grad, m, v, next(steps), cfg.learning_rate,
+                      scratch=scratch)
             batch_losses.append(loss)
         train_loss = float(np.mean(batch_losses))
         result.train_losses.append(train_loss)
@@ -483,8 +478,10 @@ def train_ensemble(features, labels, cfg: TrainConfig | None = None,
 
     Member i trains with rng_seed cfg.rng_seed + i; every member shares one
     train/validation split (cfg.split_seed, falling back to cfg.rng_seed) so
-    all checkpoints are selected against the same held-out rows. The members
-    together hold at most MAX_PARAMETERS parameters, checked before any fit.
+    all checkpoints are selected against the same held-out rows. Checked
+    before any fit: the members together hold at most MAX_PARAMETERS
+    parameters, and a batch (at most the training rows) holds at most
+    MAX_BATCH_CELLS cells across the layer widths.
     """
     if n_members < 1:
         raise ValueError(f"ensemble size must be >= 1, got {n_members}")
@@ -492,13 +489,17 @@ def train_ensemble(features, labels, cfg: TrainConfig | None = None,
         raise ValueError(f"ensemble size must be <= {MAX_ENSEMBLE}, got {n_members}")
     cfg = cfg or TrainConfig()
     sizes = [np.shape(features)[-1], *cfg.hidden_sizes, np.shape(labels)[-1]]
-    count = n_members * sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))
+    count = n_members * _param_count(sizes)
     if count > MAX_PARAMETERS:
         raise ValueError(f"{n_members} network(s) of layer sizes {sizes} hold {count} "
                          f"parameters, more than the cap of {MAX_PARAMETERS}")
     split_seed = cfg.split_seed if cfg.split_seed is not None else cfg.rng_seed
     split = split_train_validation(len(features), cfg.validation_fraction,
                                    np.random.default_rng(split_seed), scenario_ids)
+    rows = min(cfg.batch_size, len(split[0]))
+    if rows * sum(sizes[1:]) > MAX_BATCH_CELLS:
+        raise ValueError(f"a batch of {rows} rows through layer widths {sizes[1:]} holds "
+                         f"{rows * sum(sizes[1:])} cells, more than the cap of {MAX_BATCH_CELLS}")
     members = []
     for i in range(n_members):
         member_cfg = replace(cfg, rng_seed=cfg.rng_seed + i, split_seed=split_seed)
@@ -530,9 +531,7 @@ def _write_single(fh, model: MlpModel) -> None:
     fh.write(struct.pack("<II", _FORMAT, len(model.layer_sizes)))
     fh.write(struct.pack(f"<{len(model.layer_sizes)}I", *model.layer_sizes))
     fh.write(struct.pack("<B", _RAW if model.feature_mean is None else _TRAINED))
-    for w, b in zip(model.weights, model.biases):
-        fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    fh.write(_flat_params(model, "<f8").tobytes())
     if model.feature_mean is not None:
         fh.write(np.ascontiguousarray(model.feature_mean, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.feature_scale, dtype="<f8").tobytes())
@@ -602,14 +601,13 @@ def save_model(path, nets: list[MlpModel]) -> None:
             fh.write(struct.pack("<I", len(nets)))
         for net in nets:
             _write_single(fh, net)
-    n_params = sum(w.size + b.size for w, b in zip(lead.weights, lead.biases))
     sidecar = {
         "format": _FORMAT,
         "layer_sizes": list(lead.layer_sizes),
         "standardized_features": lead.feature_mean is not None,
         "power_normalized": lead.feature_mean is not None,
         "ensemble_members": len(nets),
-        "parameters": int(n_params),
+        "parameters": _param_count(lead.layer_sizes),
     }
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)

@@ -155,13 +155,15 @@ def test_criterion_5_network_verification():
     # three optimizer steps against a hand-written reference
     toy = mlp.MlpModel(layer_sizes=[1, 1], weights=[np.array([[0.5]])],
                        biases=[np.array([0.25])])
-    state = mlp.adam_init(toy)
+    params = mlp._flat_params(toy, float)
+    toy.weights, toy.biases = mlp._param_views(params, toy.layer_sizes)
+    m, v = np.zeros(2), np.zeros(2)
     w_ref, b_ref = 0.5, 0.25
     m_w = v_w = m_b = v_b = 0.0
     for step in range(1, 4):
         g_w, g_b = 0.3 * step, -0.2 * step
-        mlp.adam_step(toy, {"w": [np.array([[g_w]])], "b": [np.array([g_b])]},
-                      state, lr=0.01)
+        mlp.adam_step(params, np.array([g_w, g_b]), m, v, step, lr=0.01,
+                      scratch=np.empty(2))
         m_w = 0.9 * m_w + 0.1 * g_w
         v_w = 0.999 * v_w + 0.001 * g_w * g_w
         m_b = 0.9 * m_b + 0.1 * g_b

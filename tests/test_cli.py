@@ -735,21 +735,32 @@ def test_train_batch_taller_than_the_data_runs_in_bounded_memory(config_path, tm
     assert models["100000000"] == models["12"]
 
 
-@pytest.mark.parametrize("hidden, ensemble, message", [
-    pytest.param("1000000000", "1", "hold 24000000008 parameters, more than the cap of 4194304",
+@pytest.mark.parametrize("hidden, options, message", [
+    pytest.param("1000000000", [], "hold 24000000008 parameters, more than the cap of 4194304",
                  id="one-huge-layer"),
-    pytest.param("100000", "2", "2 network(s) of layer sizes [15, 100000, 8]", id="ensemble"),
-    pytest.param("6,0", "1", "hidden layer widths must be >= 1, got [6, 0]", id="zero-width"),
+    pytest.param("100000", ["--ensemble", "2"], "2 network(s) of layer sizes [15, 100000, 8]",
+                 id="ensemble"),
+    pytest.param("6,0", [], "hidden layer widths must be >= 1, got [6, 0]", id="zero-width"),
+    pytest.param("170000", ["--batch-size", "2000", "--val-fraction", "0"],
+                 "a batch of 2000 rows through layer widths [170000, 8] holds 340016000 cells, "
+                 "more than the cap of 16777216", id="batch-cells"),
 ])
 def test_train_rejects_oversized_network_before_allocating(config_path, tmp_path, hidden,
-                                                            ensemble, message):
+                                                            options, message):
     # a 15-10^9-8 network's first Xavier draw alone would be 112 GiB; each
-    # member of the 15-100000-8 pair holds 2.4M parameters, 4.8M together
+    # member of the 15-100000-8 pair holds 2.4M parameters, 4.8M together; a
+    # 15-170000-8 network holds 4.1M, under the cap, but its 2,000-row batch
+    # buffers would need 6.8 GB
+    if "--batch-size" in options:
+        with open(config_path) as fh:
+            cfg = json.load(fh)
+        with open(config_path, "w") as fh:
+            json.dump({**cfg, "n_train_per_look": 2000}, fh)
     data = tmp_path / "data"
     cli.main(["gen-data", config_path, "--part", "train", "--out-dir", str(data)])
     out = tmp_path / "fit"
     proc = run_capped(["train", str(data / "train.csv"), "--hidden", hidden, "--epochs", "1",
-                       "--ensemble", ensemble, "--out-dir", str(out)])
+                       *options, "--out-dir", str(out)])
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]

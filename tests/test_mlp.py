@@ -92,15 +92,22 @@ def test_gradients_match_finite_differences():
 
 
 def test_adam_single_step_hand_reference():
-    model = mlp.init_model([2, 2], seed=0)
-    state = mlp.adam_init(model)
-    g = np.array([[0.5, -1.0], [2.0, 0.25]])
-    w0 = model.weights[0].copy()
-    mlp.adam_step(model, {"w": [g], "b": [np.zeros(2)]}, state, lr=0.1)
+    # one flat vector holds W0 (2x3), b0 (3), W1 (3x2) and b1 (2)
+    model = mlp.init_model([2, 3, 2], seed=0)
+    params = mlp._flat_params(model, float)
+    assert params.size == mlp._param_count(model.layer_sizes) == 17
+    g = np.linspace(-2.0, 2.0, params.size)
+    p0 = params.copy()
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    mlp.adam_step(params, g, m, v, 1, lr=0.1, scratch=np.empty_like(params))
     m_hat = (0.1 * g) / (1 - 0.9)
     v_hat = (0.001 * g * g) / (1 - 0.999)
-    expected = w0 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
-    assert np.allclose(model.weights[0], expected, atol=1e-15)
+    expected = p0 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    assert np.allclose(params, expected, atol=1e-15)
+    weights, biases = mlp._param_views(params, model.layer_sizes)
+    exp_w, exp_b = mlp._param_views(expected, model.layer_sizes)
+    for got, want in zip(weights + biases, exp_w + exp_b):
+        assert np.allclose(got, want, atol=1e-15)
 
 
 def test_training_reduces_loss_and_memorizes():
