@@ -21,7 +21,6 @@ evaluated in float64, so model files and inference are float64.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -42,14 +41,18 @@ MAX_ENSEMBLE = 4096
 # most parameters one network or ensemble may hold (32 MiB of float64); a fit
 # holds a few float32 and float64 copies of its network, so this bounds them
 MAX_PARAMETERS = 1 << 22
-# most batch rows x layer widths one fit may hold; its workspace keeps at most
-# 20 bytes a cell (float32 activation, dropout mask and backprop error, and a
-# float64 dropout draw), so this bounds it at 320 MiB
+# most rows x layer widths one batch, or one validation forward, may hold; the
+# workspace keeps at most 20 bytes a cell (float32 activation, dropout mask and
+# backprop error, and a float64 dropout draw), so this bounds it at 320 MiB, and
+# the float64 forward at most three 128 MiB layers at a time
 MAX_BATCH_CELLS = 1 << 24
 # preprocessing flag byte of a raw network, and of a trained one (power-normalized, standardized)
 _RAW, _TRAINED = 0, 3
 _SCALE_FLOOR = 1e-12
 _STRATUM_RE = re.compile(r"-L(\d+)-")
+# the ASCII information separators: numpy strips them around a number as
+# whitespace, float() refuses them, and so does read_dataset_csv
+_INFO_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 DEFAULT_HIDDEN = (450, 250, 80)
 # training arithmetic; weights are stored and evaluated in float64
@@ -480,8 +483,9 @@ def train_ensemble(features, labels, cfg: TrainConfig | None = None,
     train/validation split (cfg.split_seed, falling back to cfg.rng_seed) so
     all checkpoints are selected against the same held-out rows. Checked
     before any fit: the members together hold at most MAX_PARAMETERS
-    parameters, and a batch (at most the training rows) holds at most
-    MAX_BATCH_CELLS cells across the layer widths.
+    parameters, and neither a batch (at most the training rows) nor the
+    validation rows hold more than MAX_BATCH_CELLS cells across the layer
+    widths.
     """
     if n_members < 1:
         raise ValueError(f"ensemble size must be >= 1, got {n_members}")
@@ -496,10 +500,12 @@ def train_ensemble(features, labels, cfg: TrainConfig | None = None,
     split_seed = cfg.split_seed if cfg.split_seed is not None else cfg.rng_seed
     split = split_train_validation(len(features), cfg.validation_fraction,
                                    np.random.default_rng(split_seed), scenario_ids)
-    rows = min(cfg.batch_size, len(split[0]))
-    if rows * sum(sizes[1:]) > MAX_BATCH_CELLS:
-        raise ValueError(f"a batch of {rows} rows through layer widths {sizes[1:]} holds "
-                         f"{rows * sum(sizes[1:])} cells, more than the cap of {MAX_BATCH_CELLS}")
+    widths = sum(sizes[1:])
+    for what, rows in (("a batch of", min(cfg.batch_size, len(split[0]))),
+                       ("the validation forward over", len(split[1]))):
+        if rows * widths > MAX_BATCH_CELLS:
+            raise ValueError(f"{what} {rows} rows through layer widths {sizes[1:]} holds "
+                             f"{rows * widths} cells, more than the cap of {MAX_BATCH_CELLS}")
     members = []
     for i in range(n_members):
         member_cfg = replace(cfg, rng_seed=cfg.rng_seed + i, split_seed=split_seed)
@@ -660,42 +666,87 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     With 2N-1 feature columns in the header, every row must hold a numeric
     look_doa_deg, that many finite features and a label of exactly N
     characters, each 0 or 1, with the same number of ones on every row; a row
-    that breaks this is a ValueError naming its line. Labels come back as a
-    float (rows, N) array.
+    that breaks this is a ValueError naming its line (the header is line 1,
+    and "\\r\\n", "\\r" and "\\n" each end a line). Labels come back as a
+    float (rows, N) array. Quotes are not special: beamformer.write_csv
+    writes none, so a '"' is part of its cell.
+
+    The rows are checked all at once: each line's comma count, one
+    _parse_numbers pass, one finiteness test and one byte view of the labels,
+    which also builds them. Only when a check fails are the lines checked one
+    by one, by _first_bad_row, to name the first bad one.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        n_feat = len(header) - 3
-        if n_feat < 1 or n_feat % 2 == 0 \
-                or header[:2] != ["scenario_id", "look_doa_deg"] \
-                or header[-1] != "label_mask_bits":
-            raise ValueError("unrecognized dataset header")
-        n = (n_feat + 1) // 2
-        weight = None
-        numbers, labels, ids = [], [], []
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(row) != n_feat + 3:
-                raise ValueError(f"{where}: {len(row)} fields, expected {n_feat + 3}")
-            try:
-                values = [float(v) for v in row[1:-1]]
-            except ValueError:
-                raise ValueError(f"{where}: non-numeric field") from None
-            if not all(map(math.isfinite, values[1:])):
-                raise ValueError(f"{where}: non-finite feature")
-            bits = row[-1]
-            if len(bits) != n or set(bits) - {"0", "1"}:
-                raise ValueError(f"{where}: label {bits!r} is not {n} bits of 0/1")
-            if weight is None:
-                weight = bits.count("1")
-            elif bits.count("1") != weight:
-                raise ValueError(f"{where}: label {bits!r} selects "
-                                 f"{bits.count('1')} sensors, earlier rows {weight}")
-            numbers.append(values)
-            labels.append(bits)
-            ids.append(row[0])
-    if not ids:
+    with open(path) as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    header, rows = lines[0].split(","), lines[1:]
+    n_feat = len(header) - 3
+    if n_feat < 1 or n_feat % 2 == 0 \
+            or header[:2] != ["scenario_id", "look_doa_deg"] \
+            or header[-1] != "label_mask_bits":
+        raise ValueError("unrecognized dataset header")
+    if rows and not rows[-1]:
+        rows.pop()  # after the last line break
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    y = np.frombuffer("".join(labels).encode(), dtype=np.uint8).reshape(len(ids), n) - ord("0")
-    return np.array(numbers)[:, 1:], y.astype(float), ids
+    n = (n_feat + 1) // 2
+    # first, as loadtxt would skip a blank line and ignore an extra field
+    ok = all(line.count(",") == n_feat + 2 for line in rows)
+    if ok:
+        numbers = _parse_numbers(rows, n_feat)
+        # label i fills row i of the view only when every label is n long;
+        # else a "," falls among the bits, as no label holds one
+        labels = (",".join([line.rpartition(",")[2] for line in rows]) + ",").encode()
+        ok = numbers is not None and np.isfinite(numbers[:, 1:]).all() \
+            and len(labels) == len(rows) * (n + 1)
+    if ok:
+        view = np.frombuffer(labels, np.uint8).reshape(len(rows), n + 1)
+        y = view[:, :n] - ord("0")
+        weights = y.sum(axis=1)
+        ok = (y <= 1).all() and (weights == weights[0]).all()
+    # each failed check fails on a line as well; a separator may sit in an id
+    if not ok or any(c in text for c in _INFO_SEPARATORS):
+        if (bad := _first_bad_row(path, rows, n_feat)) is not None:
+            raise ValueError(bad)
+    return numbers[:, 1:], y.astype(float), [line.partition(",")[0] for line in rows]
+
+
+def _parse_numbers(lines, n_feat: int) -> np.ndarray | None:
+    """The look_doa_deg and n_feat feature columns of dataset lines as one
+    float64 (rows, 1 + n_feat) array, or None when a cell is not a number.
+
+    numpy converts each cell with the C function float() uses, so a value is
+    float()'s to the bit. Of what float() accepts it refuses "_" between
+    digits and non-ASCII digits, and it accepts nothing float() refuses but
+    _INFO_SEPARATORS around a number."""
+    try:
+        return np.loadtxt(lines, delimiter=",", usecols=range(1, n_feat + 2),
+                          comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _first_bad_row(path, rows, n_feat: int) -> str | None:
+    """The message naming the first of `rows` (line 2 on) that
+    read_dataset_csv refuses, or None when it refuses none."""
+    n = (n_feat + 1) // 2
+    weight = None
+    for num, line in enumerate(rows, start=2):
+        where = f"{path} line {num}"
+        fields = line.split(",") if line else []
+        if len(fields) != n_feat + 3:
+            return f"{where}: {len(fields)} fields, expected {n_feat + 3}"
+        values = _parse_numbers([line], n_feat)
+        if values is None or any(c in cell for cell in fields[1:-1] for c in _INFO_SEPARATORS):
+            return f"{where}: non-numeric field"
+        if not np.isfinite(values[:, 1:]).all():
+            return f"{where}: non-finite feature"
+        bits = fields[-1]
+        if len(bits) != n or set(bits) - {"0", "1"}:
+            return f"{where}: label {bits!r} is not {n} bits of 0/1"
+        if weight is None:
+            weight = bits.count("1")
+        elif bits.count("1") != weight:
+            return (f"{where}: label {bits!r} selects "
+                    f"{bits.count('1')} sensors, earlier rows {weight}")
+    return None

@@ -8,6 +8,7 @@ rendered with the standard csv module.
 
 import csv
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -219,3 +220,45 @@ def csv_writer_bytes(path, header, rows) -> bytes:
         w.writerow(header)
         w.writerows(rows)
     return path.read_bytes()
+
+
+def oracle_read_dataset(path):
+    """(features, labels, scenario_ids) of a dataset CSV, read row by row with
+    csv.reader and float(), with every check the library reader makes and the
+    same messages, as the reference its one-pass parse must match."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        n_feat = len(header) - 3
+        if n_feat < 1 or n_feat % 2 == 0 \
+                or header[:2] != ["scenario_id", "look_doa_deg"] \
+                or header[-1] != "label_mask_bits":
+            raise ValueError("unrecognized dataset header")
+        n = (n_feat + 1) // 2
+        weight = None
+        numbers, labels, ids = [], [], []
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if len(row) != n_feat + 3:
+                raise ValueError(f"{where}: {len(row)} fields, expected {n_feat + 3}")
+            try:
+                values = [float(v) for v in row[1:-1]]
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric field") from None
+            if not all(map(math.isfinite, values[1:])):
+                raise ValueError(f"{where}: non-finite feature")
+            bits = row[-1]
+            if len(bits) != n or set(bits) - {"0", "1"}:
+                raise ValueError(f"{where}: label {bits!r} is not {n} bits of 0/1")
+            if weight is None:
+                weight = bits.count("1")
+            elif bits.count("1") != weight:
+                raise ValueError(f"{where}: label {bits!r} selects "
+                                 f"{bits.count('1')} sensors, earlier rows {weight}")
+            numbers.append(values)
+            labels.append(bits)
+            ids.append(row[0])
+    if not ids:
+        raise ValueError(f"{path}: no data rows")
+    y = np.array([[float(b) for b in bits] for bits in labels])
+    return np.array(numbers)[:, 1:], y, ids

@@ -376,51 +376,117 @@ def test_truncated_model_file_exit_code_two(config_path, tmp_path, capsys):
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def _short_row(row):
-    return row[:5] + row[6:]
+# Each corrupts the rows of a gen-data file (N=8, P=3, 12 rows, so 18 fields)
+# in place and returns the whole message train must print: the message of the
+# row-by-row reference reader (oracle_read_dataset), except where noted.
+
+def _short_row(rows, path):
+    rows[3] = rows[3][:5] + rows[3][6:]
+    return f"{path} line 4: 17 fields, expected 18"
 
 
-def _mask_with_a_two(row):
-    return row[:-1] + ["2" + row[-1][1:]]
+def _mask_with_a_two(rows, path):
+    rows[3][-1] = bits = "2" + rows[3][-1][1:]
+    return f"{path} line 4: label {bits!r} is not 8 bits of 0/1"
 
 
-def _mask_too_long(row):
-    return row[:-1] + [row[-1] + "0"]
+def _mask_too_long(rows, path):
+    rows[3][-1] = bits = rows[3][-1] + "0"
+    return f"{path} line 4: label {bits!r} is not 8 bits of 0/1"
 
 
-def _mask_of_other_weight(row):
-    return row[:-1] + ["1" * len(row[-1])]
+def _mask_of_other_weight(rows, path):
+    rows[3][-1] = "11111111"
+    return f"{path} line 4: label '11111111' selects 8 sensors, earlier rows 3"
 
 
-def _non_finite_feature(row):
-    return row[:4] + ["nan"] + row[5:]
+def _non_finite_feature(rows, path):
+    rows[3][4] = "nan"
+    return f"{path} line 4: non-finite feature"
 
 
-def _non_numeric_feature(row):
-    return row[:4] + ["abc"] + row[5:]
+def _non_numeric_feature(rows, path):
+    rows[3][4] = "abc"
+    return f"{path} line 4: non-numeric field"
 
 
-def _non_numeric_look(row):
-    return row[:1] + ["abc"] + row[2:]
+def _non_numeric_look(rows, path):
+    rows[3][1] = "abc"
+    return f"{path} line 4: non-numeric field"
+
+
+def _blank_line(rows, path):
+    rows.insert(3, [])
+    return f"{path} line 4: 0 fields, expected 18"
+
+
+def _extra_field(rows, path):
+    rows[3].append("0")
+    return f"{path} line 4: 19 fields, expected 18"
+
+
+def _hash_in_id(rows, path):
+    # the id is read whole, not cut at the "#" as at a comment
+    rows[3][0] = "look#" + rows[3][0]
+    rows[-1][-1] = bits = "2" + rows[-1][-1][1:]
+    return f"{path} line 13: label {bits!r} is not 8 bits of 0/1"
+
+
+def _bad_last_line(rows, path):
+    rows[-1][7] = "1.5.0"
+    return f"{path} line 13: non-numeric field"
+
+
+def _header_only(rows, path):
+    del rows[1:]
+    return f"{path}: no data rows"
+
+
+def _bad_header(rows, path):
+    rows[0][1] = "look_deg"
+    return "unrecognized dataset header"
+
+
+def _separator_by_value(rows, path):
+    # numpy would strip the separator as space; float() refuses it
+    rows[3][4] = "\x1c" + rows[3][4]
+    return f"{path} line 4: non-numeric field"
+
+
+# float() accepts these, so the reference reader takes them as 10.0 and 12.0;
+# the one-pass parse refuses them, naming their line
+
+def _underscore_in_number(rows, path):
+    rows[3][4] = "1_0"
+    return f"{path} line 4: non-numeric field"
+
+
+def _non_ascii_digits(rows, path):
+    rows[3][4] = "\u0661\u0662"
+    return f"{path} line 4: non-numeric field"
 
 
 @pytest.mark.parametrize("corrupt", [_short_row, _mask_with_a_two, _mask_too_long,
                                      _mask_of_other_weight, _non_finite_feature,
-                                     _non_numeric_feature, _non_numeric_look])
+                                     _non_numeric_feature, _non_numeric_look,
+                                     _blank_line, _extra_field, _hash_in_id,
+                                     _bad_last_line, _header_only, _bad_header,
+                                     _separator_by_value, _underscore_in_number,
+                                     _non_ascii_digits])
 def test_train_rejects_bad_dataset_rows(config_path, tmp_path, capsys, corrupt):
     data = tmp_path / "data"
     cli.main(["gen-data", config_path, "--part", "train", "--out-dir", str(data)])
     rows = read_csv(data / "train.csv")
-    rows[3] = corrupt(rows[3])
+    assert len(rows) == 13
     bad = tmp_path / "bad.csv"
-    with open(bad, "w", newline="") as fh:
+    message = corrupt(rows, bad)
+    with open(bad, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     capsys.readouterr()
     rc = cli.main(["train", str(bad), "--hidden", "4", "--epochs", "1",
                    "--out-dir", str(tmp_path / "fit")])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "line 4" in err and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "fit" / "model.bin").exists()
 
 
@@ -744,13 +810,17 @@ def test_train_batch_taller_than_the_data_runs_in_bounded_memory(config_path, tm
     pytest.param("170000", ["--batch-size", "2000", "--val-fraction", "0"],
                  "a batch of 2000 rows through layer widths [170000, 8] holds 340016000 cells, "
                  "more than the cap of 16777216", id="batch-cells"),
+    pytest.param("170000", ["--batch-size", "64", "--val-fraction", "0.5"],
+                 "the validation forward over 1000 rows through layer widths [170000, 8] holds "
+                 "170008000 cells, more than the cap of 16777216", id="validation-cells"),
 ])
 def test_train_rejects_oversized_network_before_allocating(config_path, tmp_path, hidden,
                                                             options, message):
     # a 15-10^9-8 network's first Xavier draw alone would be 112 GiB; each
     # member of the 15-100000-8 pair holds 2.4M parameters, 4.8M together; a
     # 15-170000-8 network holds 4.1M, under the cap, but its 2,000-row batch
-    # buffers would need 6.8 GB
+    # buffers would need 6.8 GB, and a float64 forward over 1,000 validation
+    # rows 1.27 GiB for its first layer alone
     if "--batch-size" in options:
         with open(config_path) as fh:
             cfg = json.load(fh)

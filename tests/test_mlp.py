@@ -8,7 +8,7 @@ import pytest
 
 from sparsebeam import harness, mlp, scene
 
-from .oracles import csv_writer_bytes, oracle_train_steps
+from .oracles import csv_writer_bytes, oracle_read_dataset, oracle_train_steps
 
 
 def toy_dataset(n=64, n_features=9, n_out=5, seed=0):
@@ -400,6 +400,33 @@ def test_dataset_csv_round_trip(tmp_path):
         rows = [[r.scenario_id, r.look_doa_deg, *map(float, r.features),
                  "".join("01"[int(b)] for b in r.label_mask)] for r in records]
         assert path.read_bytes() == csv_writer_bytes(tmp_path / "want.csv", header, rows)
+
+
+@pytest.mark.parametrize("n_snapshots", [None, 512])
+@pytest.mark.parametrize("label_source", ["enumeration", "sbsa"])
+@pytest.mark.parametrize("n_grid, n_select", [(5, 2), (12, 6), (16, 6)])
+def test_read_dataset_matches_row_by_row_reference(tmp_path, n_grid, n_select,
+                                                   label_source, n_snapshots):
+    cfg = harness.ExperimentConfig(n_grid=n_grid, n_select=n_select,
+                                   look_doas_deg=(60.0, 30.0), n_train_per_look=5,
+                                   n_snapshots=n_snapshots, seed=n_grid)
+    written = tmp_path / "written.csv"
+    mlp.write_dataset_csv(written, harness.scenario_stream(cfg, "train", label_source))
+    crlf = written.read_bytes()
+    lf = crlf.replace(b"\r\n", b"\n")
+    variants = {"crlf": crlf, "lf": lf, "no-final-break": crlf[:-2],
+                # numpy would take "#" for a comment and the separator for space
+                "odd-ids": lf.replace(b"\nlook", b"\n#\x1clook")}
+    for name, blob in variants.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(blob)
+        x, y, ids = mlp.read_dataset_csv(path)
+        want_x, want_y, want_ids = oracle_read_dataset(path)
+        assert x.shape == want_x.shape == (10, 2 * n_grid - 1), name
+        assert np.array_equal(x.view(np.int64), want_x.view(np.int64)), name
+        assert y.dtype == want_y.dtype and np.array_equal(y, want_y), name
+        assert ids == want_ids, name
+    assert ids[0].startswith("#\x1clook")
 
 
 def test_train_config_validation():
