@@ -148,6 +148,12 @@ def cmd_eval(args) -> int:
         if name in models:
             raise ValueError(f"--model name {name!r} is given more than once")
         models[name] = mlp.load_model(path)
+        sizes = models[name][0].layer_sizes
+        if sizes[0] != 2 * cfg.n_grid - 1 or sizes[-1] != cfg.n_grid:
+            raise ValueError(
+                f"{path}: model {name!r} takes {sizes[0]} features and scores {sizes[-1]} "
+                f"sensors, but the config needs {2 * cfg.n_grid - 1} features and "
+                f"{cfg.n_grid} sensors (N = {cfg.n_grid})")
         if name not in methods:
             methods.append(name)
     nnc_index = None

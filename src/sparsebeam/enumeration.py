@@ -199,10 +199,11 @@ def enumerate_all_ranked(geom, scn, p: int, with_objective: bool = False,
     terms = beamformer.scene_terms(geom, scn)
     sinrs = np.empty(count)
     omegas = np.empty(count) if with_objective else None
+    weights = sbsa.overlap_weights(geom, scn) if with_objective else None
     for start, _, masks in _subset_chunks(geom.n_grid, p):
         sinrs[start:start + len(masks)] = beamformer.subset_sinr_batch(terms, masks)
         if with_objective:
-            omegas[start:start + len(masks)] = sbsa.omega_batch(masks, geom, scn)
+            omegas[start:start + len(masks)] = sbsa.omega_batch(sbsa.lag_counts(masks), weights)
     # stable: equal keys keep ascending rank_id
     order = np.argsort(omegas if with_objective else -sinrs, kind="stable")
     n = geom.n_grid

@@ -33,7 +33,7 @@ _PART_STREAM = {"train": _STREAM_TRAIN, "test": _STREAM_TEST}
 
 SELECTION_METHODS = ("sbsa", "nnc", "compact_ula", "sparse_ula", "worst_case")
 # every scenario draw builds the interferer angle grid, so its size is bounded;
-# an SBSA label's first step scores N(N-1) float64 masks of N cells (134 MB at
+# an SBSA label's first step holds N(N-1) candidates of 10 N bytes (160 MiB at
 # MAX_GRID), and one scene's complex (T, N) snapshots are 64 MiB at the cap
 MAX_INTERFERER_ANGLES, MAX_GRID, MAX_SNAPSHOT_CELLS = 1 << 20, 256, 1 << 22
 
@@ -394,7 +394,9 @@ class EvaluationResult:
     method_names: list[str]
     rows: list[dict]
     summaries: dict[str, MethodSummary]
-    runtime_s: dict[str, float] = field(default_factory=dict)
+    # seconds: the whole run, drawing and labelling its scenes, and each
+    # method's selections
+    runtime_s: dict = field(default_factory=dict)
 
 
 def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
@@ -408,7 +410,11 @@ def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
     may take a built-in's name. Each scene's optimum and method masks are
     scored together by score_methods, and any method beating the optimum by
     more than the relative tie band is a hard error. The random baseline
-    reports the mean dB of its n_random draws.
+    reports the mean dB of its n_random draws. The run's scenes are drawn
+    and labelled first, so each model scores all of their features in one
+    predict_selection call. runtime_s holds the run's seconds ("evaluate"),
+    those of drawing and labelling its scenes ("scenes") and those of each
+    method's selections ("select", method -> seconds).
     """
     models = models or {}
     if not methods:
@@ -434,21 +440,34 @@ def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
     gaps = {m: [] for m in methods}
     sinrs = {m: [] for m in methods}
     matches = {m: 0 for m in methods}
+    select_s = dict.fromkeys(methods, 0.0)
     t0 = time.perf_counter()
-    n_scn = 0
-    for rec in scenario_stream(cfg, part, label_source="enumeration"):
+    records = list(scenario_stream(cfg, part, label_source="enumeration"))
+    t_scenes = time.perf_counter() - t0
+    # each network runs once over every scene's features
+    model_masks = {}
+    features = np.array([rec.features for rec in records])
+    for m in methods:
+        if m in models:
+            t = time.perf_counter()
+            model_masks[m] = mlp.predict_selection(models[m], features, p)
+            select_s[m] = time.perf_counter() - t
+    for n_scn, rec in enumerate(records):
         scn = rec.scenario
         masks = {}
         for m in methods:
             if m in models:
-                masks[m] = mlp.predict_selection(models[m], rec.features, p)
-            elif m == "nnc":
+                masks[m] = model_masks[m][n_scn]
+                continue
+            t = time.perf_counter()
+            if m == "nnc":
                 masks[m] = np.asarray(nnc_index.predict(rec.features), dtype=int)
             elif m == "random":
                 rng = np.random.default_rng((cfg.seed, _STREAM_RANDOM_BASELINE, n_scn))
                 masks[m] = random_masks(cfg.n_grid, p, n_random, rng)
             else:
                 masks[m] = method_mask(m, geom, scn, p)
+            select_s[m] += time.perf_counter() - t
         opt, vals = score_methods(geom, scn, rec.label_mask, masks, rec.scenario_id)
         opt_db = float(beamformer.sinr_db(opt))
         row = {
@@ -469,7 +488,7 @@ def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
             sinrs[m].append(m_db)
             gaps[m].append(opt_db - m_db)
         rows.append(row)
-        n_scn += 1
+    n_scn = len(records)
 
     summaries = {}
     for m in methods:
@@ -482,7 +501,8 @@ def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
         method_names=list(methods),
         rows=rows,
         summaries=summaries,
-        runtime_s={"evaluate": time.perf_counter() - t0},
+        runtime_s={"evaluate": time.perf_counter() - t0, "scenes": t_scenes,
+                   "select": select_s},
     )
 
 

@@ -516,9 +516,15 @@ def train_ensemble(features, labels, cfg: TrainConfig | None = None,
 
 def predict_selection(nets: list[MlpModel], features, p: int) -> np.ndarray:
     """Top-P decode of the networks' mean scores into a 0/1 mask (ties: lower
-    index); 2-D input gives one mask per row."""
+    index); 2-D input gives one mask per row. Rows go through each network in
+    batches of at most MAX_BATCH_CELLS cells across its layer widths."""
     x = np.asarray(features, dtype=float)
-    masks = _top_p(np.atleast_2d(np.mean([forward(net, x) for net in nets], axis=0)), p)
+    rows = np.atleast_2d(x)
+    batch = max(1, MAX_BATCH_CELLS // sum(nets[0].layer_sizes[1:]))
+    # no rows still make one (empty) batch
+    scores = np.concatenate([np.mean([forward(net, rows[lo:lo + batch]) for net in nets], axis=0)
+                             for lo in range(0, max(len(rows), 1), batch)])
+    masks = _top_p(scores, p)
     return masks[0] if x.ndim == 1 else masks
 
 

@@ -147,6 +147,39 @@ def oracle_greedy_steps(n, p, k, spacing, desired_doa, desired_power,
     return traces
 
 
+def oracle_sbsa_select(n, p, weights):
+    """The greedy overlap search from masks, as the reference for the
+    library's lag-count increments: every step builds each start's candidate
+    masks, counts their lags with one einsum per lag and sums c_d^2 * w_d one
+    lag at a time. `weights` are the scene's lag weights w_0..w_{N-1}, so the
+    objectives compare bit for bit. Returns each start's (chosen index,
+    objective) steps and its 0/1 mask, near-ties (TIE_TOL) going to the
+    lowest index."""
+    rows = np.arange(n)
+    chosen = np.eye(n, dtype=bool)
+    steps = [[] for _ in range(n)]
+    for step in range(p - 1):
+        n_cand = n - 1 - step
+        cand = np.nonzero(~chosen)[1].reshape(n, n_cand)
+        masks = np.repeat(chosen[:, None, :], n_cand, axis=1)
+        masks[rows[:, None], np.arange(n_cand), cand] = True
+        z = masks.reshape(-1, n).astype(float)
+        counts = np.empty((len(z), n))
+        for d in range(n):
+            counts[:, d] = np.einsum("ij,ij->i", z[:, d:], z[:, :n - d])
+        counts *= counts
+        total = counts[:, 0] * weights[0]
+        for d in range(1, n):
+            total += counts[:, d] * weights[d]
+        vals = total.reshape(n, n_cand)
+        floor = vals.min(axis=1, keepdims=True)
+        j = np.argmax(vals <= floor + TIE_TOL * np.maximum(np.abs(floor), 1.0), axis=1)
+        for s in range(n):
+            steps[s].append((int(cand[s, j[s]]), float(vals[s, j[s]])))
+        chosen[rows, cand[rows, j]] = True
+    return steps, chosen.astype(int)
+
+
 def oracle_train_steps(x, y, hidden, seed, batch_size, keep_prob, lr, n_steps):
     """The float64 training loop, step by step, with no validation split.
 

@@ -344,6 +344,56 @@ def test_eval_rejects_dataset_of_another_size(config_path, tmp_path, capsys):
         assert not (tmp_path / "out" / "report.csv").exists()
 
 
+@pytest.mark.parametrize("sizes", [
+    pytest.param([13, 4, 8], id="input-width"),
+    pytest.param([15, 4, 9], id="output-width"),
+])
+def test_eval_checks_model_widths_before_any_scene(config_path, tmp_path, capsys, monkeypatch,
+                                                   sizes):
+    # the config has N = 8: a network must take 2N - 1 = 15 features and score 8 sensors
+    model = tmp_path / "model.bin"
+    mlp.save_model(model, [mlp.init_model(sizes, seed=0)] * 2)
+
+    def no_scenes(*args, **kwargs):
+        pytest.fail("a scene was drawn before the model was checked")
+
+    monkeypatch.setattr(harness, "scenario_stream", no_scenes)
+    rc = cli.main(["eval", config_path, "--model", f"dnn={model}", "--methods", "compact_ula",
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {model}: model 'dnn' takes {sizes[0]} features and scores {sizes[-1]} "
+        "sensors, but the config needs 15 features and 8 sensors (N = 8)\n")
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_eval_report_does_not_depend_on_blas_threads(tmp_path):
+    # every network scores all of a run's scenes in one batch, a GEMM, whose
+    # last bits may follow the BLAS thread count; the masks must not
+    cfg = harness.ExperimentConfig(n_grid=10, n_select=4, look_doas_deg=(30.0, 60.0, 100.0),
+                                   n_train_per_look=40, n_test_per_look=20, seed=17)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(harness.config_to_dict(cfg)))
+    data, fit = tmp_path / "data", tmp_path / "fit"
+    assert cli.main(["gen-data", str(config), "--part", "train", "--out-dir", str(data)]) == 0
+    assert cli.main(["train", str(data / "train.csv"), "--hidden", "64,32", "--epochs", "4",
+                     "--ensemble", "3", "--seed", "2", "--out-dir", str(fit)]) == 0
+    src = os.path.dirname(os.path.dirname(sparsebeam.__file__))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparsebeam", "eval", str(config), "--model",
+             f"dnn={fit / 'model.bin'}", "--methods", "compact_ula", "--out-dir", str(out)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0].count(b"\n") == 1 + 60
+    assert reports[0] == reports[1]
+
+
 def test_lone_fit_is_the_first_ensemble_member(config_path, tmp_path):
     data = tmp_path / "data"
     cli.main(["gen-data", config_path, "--part", "train", "--out-dir", str(data)])
@@ -686,16 +736,17 @@ def test_oversized_grid_exits_on_budget_in_bounded_memory(scenario_path, tmp_pat
                        "--out-dir", str(tmp_path)])
     assert proc.returncode == 3, proc.stderr
     lines = proc.stderr.strip().splitlines()
-    # sbsa is charged for its first greedy step, starts x (N-1) candidate masks
+    # sbsa is charged for its first greedy step, starts x (N-1) candidates
     want = "error: 100000 starts x 99999" if command == "sbsa" else "error: C(100000,1)"
     assert len(lines) == 1 and lines[0].startswith(want)
 
 
 def test_sbsa_charges_first_greedy_step_to_budget(scenario_path, tmp_path, capsys):
-    # 8 starts x 7 candidates = 56 masks fit a budget of 56, not 55
+    # 8 starts x 7 = 56 candidates of 80 bytes, each charged 80/64, fit a
+    # budget of 70, not 69
     argv = ["sbsa", scenario_path, "--n-grid", "8", "--n-select", "3"]
-    assert cli.main(argv + ["--budget", "56", "--out-dir", str(tmp_path / "a")]) == 0
-    assert cli.main(argv + ["--budget", "55", "--out-dir", str(tmp_path / "b")]) == 3
+    assert cli.main(argv + ["--budget", "70", "--out-dir", str(tmp_path / "a")]) == 0
+    assert cli.main(argv + ["--budget", "69", "--out-dir", str(tmp_path / "b")]) == 3
     assert not (tmp_path / "b" / "sbsa_starts.csv").exists()
     proc = run_capped(["sbsa", scenario_path, "--n-grid", "3000", "--n-select", "2",
                        "--out-dir", str(tmp_path / "c")])
@@ -705,22 +756,24 @@ def test_sbsa_charges_first_greedy_step_to_budget(scenario_path, tmp_path, capsy
 
 
 def test_sbsa_budget_message_counts_cells(scenario_path, tmp_path, capsys):
-    # each float64 candidate mask of 12 sensors is charged as 8 x 12 = 96 cells
+    # each candidate of 12 sensors holds 12 float64 lag counts and two int8
+    # increments per sensor, 10 x 12 = 120 bytes
     rc = cli.main(["sbsa", scenario_path, "--n-grid", "12", "--n-select", "6",
                    "--budget", "5", "--out-dir", str(tmp_path)])
     assert rc == 3
     assert capsys.readouterr().err == (
-        "error: 12 starts x 11 = 132 candidate float64 masks of 96 cells "
-        "(each counted 96/64 times) exceeds the enumeration budget of 5\n")
+        "error: 12 starts x 11 = 132 candidates of 120 bytes (12 float64 lag counts "
+        "and 24 int8 increments) (each counted 120/64 times) exceeds the enumeration "
+        "budget of 5\n")
 
 
 def test_compare_charges_every_search_to_budget(scenario_path, tmp_path, capsys):
     # the optimum and the worst case score C(8,2) = 28 subsets, but SBSA's
-    # first step holds 8 starts x 7 candidates = 56 masks
+    # first step holds 8 starts x 7 = 56 candidates of 80 bytes (70 x 64)
     argv = ["compare", scenario_path, "--n-grid", "8", "--n-select", "2"]
-    assert cli.main(argv + ["--budget", "56", "--out-dir", str(tmp_path / "a")]) == 0
+    assert cli.main(argv + ["--budget", "70", "--out-dir", str(tmp_path / "a")]) == 0
     capsys.readouterr()
-    assert cli.main(argv + ["--budget", "55", "--out-dir", str(tmp_path / "b")]) == 3
+    assert cli.main(argv + ["--budget", "69", "--out-dir", str(tmp_path / "b")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: 8 starts x 7") and err.count("\n") == 1
     assert not (tmp_path / "b" / "compare.csv").exists()
@@ -732,7 +785,7 @@ def test_compare_charges_every_search_to_budget(scenario_path, tmp_path, capsys)
     pytest.param("compare", "800", (3,), id="compare-800"),
 ])
 def test_sbsa_first_step_fits_bounded_memory(scenario_path, tmp_path, command, n_grid, codes):
-    # the first step's float64 copy of 639,200 masks of 800 sensors is 3.8 GiB
+    # the first step's lag counts of 639,200 candidates of 800 sensors are 3.8 GiB
     proc = run_capped([command, scenario_path, "--n-grid", n_grid, "--n-select", "2",
                        "--out-dir", str(tmp_path)])
     assert proc.returncode in codes, proc.stderr
@@ -897,3 +950,7 @@ def test_every_manifest_has_provenance_keys(config_path, scenario_path, tmp_path
     assert doc["methods"] == ["compact_ula", "dnn"]
     assert set(doc["summaries"]["dnn"]) == {"mean_sinr_db", "mean_gap_db", "exact_match_rate"}
     assert doc["runtime_s"]["evaluate"] > 0.0
+    # seconds spent drawing the scenes and producing each method's masks
+    assert doc["runtime_s"]["evaluate"] >= doc["runtime_s"]["scenes"] > 0.0
+    assert set(doc["runtime_s"]["select"]) == {"compact_ula", "dnn"}
+    assert all(s >= 0.0 for s in doc["runtime_s"]["select"].values())

@@ -149,8 +149,9 @@ def test_method_mask_charges_its_search_to_budget():
     n = geom.n_grid
     scn = next(iter(harness.scenario_stream(cfg, "test"))).scenario
     # the worst case scores C(N,P) subsets; SBSA's first greedy step holds
-    # N starts x (N-1) candidate masks
-    for method, count in (("worst_case", math.comb(n, p)), ("sbsa", n * (n - 1))):
+    # N starts x (N-1) candidates of 10 N bytes, each charged 10 N / 64
+    for method, count in (("worst_case", math.comb(n, p)),
+                          ("sbsa", n * (n - 1) * 10 * n // 64)):
         with pytest.raises(enumeration.BudgetExceededError):
             harness.method_mask(method, geom, scn, p, budget=count - 1)
         harness.method_mask(method, geom, scn, p, budget=count)
@@ -210,6 +211,43 @@ def test_evaluate_audits_and_summarizes(tmp_path):
     for m in ("dnn", "sbsa", "nnc", "compact_ula", "sparse_ula", "worst_case"):
         assert set(row[f"{m}_mask_bits"]) <= {"0", "1"}
         assert isinstance(row[f"{m}_sinr_db"], float)
+
+
+def test_evaluate_runs_each_network_once_and_keeps_per_scene_masks(monkeypatch):
+    # each network scores every scene of the run in one batch; every mask is
+    # the one the per-scene decode of that scene's features picks
+    cfg = tiny_config(n_grid=10, n_select=4, look_doas_deg=(30.0, 75.0),
+                      n_train_per_look=60, n_test_per_look=24, seed=9)
+    train = list(harness.scenario_stream(cfg, "train"))
+    fits = mlp.train_ensemble(np.stack([r.features for r in train]),
+                              np.stack([r.label_mask for r in train]).astype(float),
+                              mlp.TrainConfig(hidden_sizes=(32, 16), max_epochs=5, batch_size=16),
+                              n_members=3)
+    model = [fit.model for fit in fits]
+    calls = []
+    predict = mlp.predict_selection
+    monkeypatch.setattr(mlp, "predict_selection", lambda *a: calls.append(a) or predict(*a))
+    result = harness.evaluate(cfg, ["dnn", "compact_ula"], models={"dnn": model})
+    assert len(calls) == 1 and calls[0][1].shape == (48, 19)
+    test = list(harness.scenario_stream(cfg, "test"))
+    assert len(result.rows) == len(test) == 48
+    for row, rec in zip(result.rows, test):
+        assert row["dnn_mask_bits"] == beamformer.mask_bits(predict(model, rec.features, 4))
+
+
+def test_predict_selection_batches_rows_under_the_cell_cap(monkeypatch):
+    nets = [mlp.init_model([7, 5, 3, 4], seed=s) for s in range(2)]
+    x = np.random.default_rng(3).normal(size=(23, 7))
+    whole = mlp.predict_selection(nets, x, 2)
+    sizes = []
+    forward = mlp.forward
+    monkeypatch.setattr(mlp, "forward", lambda net, rows: sizes.append(len(rows)) or
+                        forward(net, rows))
+    # 5 + 3 + 4 = 12 cells a row: at most 4 rows under a cap of 50 cells
+    monkeypatch.setattr(mlp, "MAX_BATCH_CELLS", 50)
+    assert np.array_equal(mlp.predict_selection(nets, x, 2), whole)
+    assert sizes == [4, 4] * 5 + [3, 3]
+    assert mlp.predict_selection(nets, x[:0], 2).shape == (0, 4)
 
 
 def test_evaluate_rejects_unknown_method_and_missing_index():

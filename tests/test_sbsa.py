@@ -1,5 +1,7 @@
 """Spectral-overlap objective and the greedy selection it drives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,8 +81,8 @@ def test_omega_batch_and_spectrum_match_lag_loop_reference(n_grid):
                 # masked steering vector's autocorrelation; every K >= 2N-1
                 # gives the objective at K(N) times K / K(N)
                 want = oracles.oracle_omega(masks, spacing, desired, p_des, doas, powers, k)
-                np.testing.assert_allclose(sbsa.omega_batch(masks, geom, scn) * (k / default),
-                                           want, rtol=1e-12, atol=0.0)
+                got = sbsa.omega_batch(sbsa.lag_counts(masks), sbsa.overlap_weights(geom, scn))
+                np.testing.assert_allclose(got * (k / default), want, rtol=1e-12, atol=0.0)
 
 
 def test_lag_counts_match_selection_autocorrelation():
@@ -113,9 +115,10 @@ def test_omega_batch_is_bit_identical_for_mirrors_and_translations():
             others = (rng.random((30, n_grid)) < 0.5).astype(int)
             batch = np.concatenate([others, np.array(twins)])
             perm = rng.permutation(len(batch))
-            vals = sbsa.omega_batch(batch[perm], geom, scn)
+            weights = sbsa.overlap_weights(geom, scn)
+            vals = sbsa.omega_batch(sbsa.lag_counts(batch[perm]), weights)
             got = vals[np.argsort(perm)][len(others):]
-            alone = sbsa.omega_batch(base, geom, scn)[0]
+            alone = sbsa.omega_batch(sbsa.lag_counts(base), weights)[0]
             assert alone > 0.0
             assert got.tolist() == [alone] * len(twins)
 
@@ -137,6 +140,49 @@ def test_greedy_steps_match_loop_reference(n_grid):
                                        [v for _, v in steps], rtol=1e-12)
             assert trace.mask.tolist() == beamformer.mask_from_indices(
                 [trace.start] + [i for i, _ in steps], n_grid).tolist()
+
+
+@pytest.mark.parametrize("n_grid", [5, 8, 12, 16, 24])
+def test_greedy_steps_match_mask_building_reference(n_grid):
+    # the lag-count increments against the step they replaced, which built
+    # every candidate mask and counted its lags: same steps and objectives
+    # to the bit, same masks, and the SINR of an independent dense solve
+    rng = np.random.default_rng(200 + n_grid)
+    geom = scene.ArrayGeometry(n_grid=n_grid)
+    for l_count in range(5):
+        for p in sorted({1, 2, -(-n_grid // 2), n_grid}):
+            for _ in range(3):
+                scn, (desired, p_des, doas, powers) = oracle_scene(rng, n_grid, l_count)
+                res = sbsa.sbsa_select(geom, scn, p)
+                steps, masks = oracles.oracle_sbsa_select(
+                    n_grid, p, sbsa.overlap_weights(geom, scn))
+                assert [t.steps for t in res.starts] == steps
+                assert np.array_equal([t.mask for t in res.starts], masks)
+                got = np.array([t.sinr.linear for t in res.starts])
+                want = oracles.oracle_dense_subset_sinr(
+                    n_grid, 0.5, desired, p_des, doas, powers, 1.0, masks)
+                np.testing.assert_allclose(got, want, rtol=1e-9)
+                best = next(si for si in range(n_grid)
+                            if not got.max() > got[si] * (1.0 + beamformer.REL_TIE_TOL))
+                assert res.mask.tolist() == masks[best].tolist()
+
+
+def test_greedy_memory_at_the_grid_cap_is_what_the_budget_charges():
+    # at N = 256 the first step holds 10 N bytes for each of N(N-1)
+    # candidates (160 MiB, inside the default budget), and omega_batch at
+    # most one enumeration block of scratch besides
+    geom, scn = build(l_count=3, seed=11, n_grid=256)
+    charged = 10 * 256 * 256 * 255
+    tracemalloc.start()
+    try:
+        res = sbsa.sbsa_select(geom, scn, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.mask.sum() == 3
+    assert peak <= charged + 8 * enumeration._BLOCK_CELLS + (4 << 20)
+    with pytest.raises(enumeration.BudgetExceededError):
+        sbsa.sbsa_select(geom, scn, 3, budget=charged // 64 - 1)
 
 
 def test_omega_zero_without_interference():
@@ -176,7 +222,7 @@ def test_omega_batch_matches_scalar_route():
     masks = np.zeros((12, geom.n_grid), dtype=int)
     for row in masks:
         row[rng.choice(geom.n_grid, size=6, replace=False)] = 1
-    batch = sbsa.omega_batch(masks, geom, scn)
+    batch = sbsa.omega_batch(sbsa.lag_counts(masks), sbsa.overlap_weights(geom, scn))
     for z, val in zip(masks, batch):
         assert sbsa.omega(z, geom, scn) == pytest.approx(val, rel=1e-12)
 
