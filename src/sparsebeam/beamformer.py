@@ -3,8 +3,9 @@
 The optimum weight vector is the principal eigenvector of R_xx^-1 R_s (equal,
 up to scale, to that of R_sn^-1 R_s). A scene has one desired source, so R_s
 is rank one and that eigenvector is the Capon direction R_xx^-1 s, computed by
-a Cholesky solve; a source matrix of higher rank is a ValueError. Weights are
-normalized so w^H R_s w = 1 with the first nonzero entry real-positive.
+one np.linalg.solve after a condition-number check; a source matrix of higher
+rank is a ValueError. Weights are normalized so w^H R_s w = 1 with the first
+nonzero entry real-positive.
 
 Subset scoring, the inner loop of every selector and the one scorer behind
 every exact-scene SINR the package reports, never forms a P x P matrix:
@@ -21,7 +22,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import scene
 
@@ -131,15 +131,6 @@ def _is_rank_one(r: np.ndarray) -> bool:
     return abs(tr - fro) <= _RANK1_REL_TOL * max(tr, fro, 1e-300)
 
 
-def _solve_pd(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        c, low = scipy.linalg.cho_factor(r)
-        return scipy.linalg.cho_solve((c, low), b)
-    except np.linalg.LinAlgError:
-        # R_xx is PD by construction; pivoted fallback covers bad conditioning
-        return scipy.linalg.solve(r, b, assume_a="her")
-
-
 def max_sinr_weights(r_s: np.ndarray, r_xx: np.ndarray, mask=None) -> np.ndarray:
     """MaxSINR weight vector for the (sub)array.
 
@@ -166,7 +157,7 @@ def max_sinr_weights(r_s: np.ndarray, r_xx: np.ndarray, mask=None) -> np.ndarray
         raise ValueError("source matrix must be rank one (one desired source)")
     # Capon direction: any nonzero column of the rank-1 R_s is ~ s
     col = int(np.argmax(np.linalg.norm(rs_sub, axis=0)))
-    w = _solve_pd(rxx_sub, rs_sub[:, col])
+    w = np.linalg.solve(rxx_sub, rs_sub[:, col])
 
     quad = (w.conj() @ rs_sub @ w).real
     if quad <= 0:

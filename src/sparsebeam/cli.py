@@ -23,12 +23,9 @@ from . import __version__, beamformer, enumeration, harness, mlp, nnc, sbsa, sce
 
 
 def _versions() -> dict:
-    import scipy
-
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "sparsebeam": __version__,
     }
 

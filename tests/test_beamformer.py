@@ -132,6 +132,16 @@ def test_weights_reject_higher_rank_source_matrix():
         beamformer.max_sinr_weights(r_s2, r_xx, mask=[1, 0, 1, 1, 0, 1, 0, 0, 1, 0])
 
 
+def test_weights_reject_singular_covariance():
+    # a rank-one R_xx is rejected by the condition check, before the solve
+    geom, scn = build(l_count=2, seed=4, n_grid=8)
+    r_s, _, _ = scene.correlation_matrices(geom, scn)
+    with pytest.raises(beamformer.SingularMatrixError, match="singular"):
+        beamformer.max_sinr_weights(r_s, r_s)
+    with pytest.raises(beamformer.SingularMatrixError, match="singular"):
+        beamformer.max_sinr_weights(r_s, r_s, mask=[1, 0, 1, 1, 0, 1, 0, 1])
+
+
 def test_output_sinr_rejects_zero_weights():
     geom, scn = build(l_count=1, seed=7)
     r_s, r_sn, _ = scene.correlation_matrices(geom, scn)

@@ -708,6 +708,13 @@ def test_version_and_module_entry(capsys):
     proc = subprocess.run([sys.executable, "-m", "sparsebeam", "--version"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
+    # numpy is the only runtime dependency: scipy is for the test oracles
+    probe = ("import sys, sparsebeam.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # run in a child whose address space is capped, so an unbounded allocation
@@ -943,7 +950,8 @@ def test_every_manifest_has_provenance_keys(config_path, scenario_path, tmp_path
         doc = json.loads(path.read_text())
         assert path.name == f"{doc['command']}_manifest.json"
         assert isinstance(doc["argv"], list)
-        assert {"python", "numpy", "scipy", "sparsebeam"} <= set(doc["versions"])
+        assert {"python", "numpy", "sparsebeam"} <= set(doc["versions"])
+        assert "scipy" not in doc["versions"]
     doc = json.loads((out / "eval_manifest.json").read_text())
     assert doc["config_sha256"] == harness.config_hash(harness.load_config(config_path))
     assert doc["n_scenarios"] == 8
