@@ -9,7 +9,6 @@ configuration or input, 3 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -28,11 +27,6 @@ def _versions() -> dict:
         "numpy": np.__version__,
         "sparsebeam": __version__,
     }
-
-
-def _sha256_of(doc) -> str:
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _write_manifest(out_dir, command: str, doc: dict) -> None:
@@ -63,7 +57,7 @@ def _scene_doc(args, scn) -> dict:
         "n_grid": args.n_grid,
         "n_select": args.n_select,
     }
-    doc["inputs_sha256"] = _sha256_of(doc)
+    doc["inputs_sha256"] = harness.json_sha256(doc)
     return doc
 
 
@@ -247,6 +241,8 @@ def cmd_fig7(args) -> int:
 def cmd_compare(args) -> int:
     geom, scn = _load_scene(args)
     p = args.n_select
+    enumeration._check_budget(geom.n_grid, p, args.budget)
+    harness.check_n_random(geom.n_grid, args.n_random)
     best = enumeration.enumerate_best(geom, scn, p, budget=args.budget)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     masks = {m: harness.method_mask(m, geom, scn, p, budget=args.budget)
@@ -359,6 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("--seed", "--split-seed"):
+            seed = getattr(args, flag[2:].replace("-", "_"), None)
+            if seed is not None and seed < 0:
+                raise ValueError(f"{flag} must be >= 0, got {seed}")
         os.makedirs(args.out_dir, exist_ok=True)
         return args.func(args)
     except enumeration.BudgetExceededError as exc:

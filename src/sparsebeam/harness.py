@@ -3,12 +3,12 @@
 A single ExperimentConfig pins every free choice (grid, counts, power ranges,
 seeds), and all randomness flows through named np.random streams derived from
 (config seed, purpose code, look index), so datasets and reports regenerate
-byte-identically. Evaluation scores the optimum's mask and every method's
-mask rows of a scene in one batch through the subset scorer the enumeration
-oracle uses (score_methods), so a method that picks the optimum reports the
-optimum's value to the last digit; the optimality audit fails a method only
+byte-identically. Evaluation lets each selector pick for all scenes, then
+scores each scene's optimum, picks and random draws in one batch with the
+enumeration oracle's subset scorer (score_methods), so a method picking the
+optimum reports its value to the last digit; the audit fails a method only
 when it beats the optimum by more than the shared relative tie band, since
-distinct subsets (mirror images, translations) tie it only up to rounding.
+distinct subsets (mirrors, translations) tie it only up to rounding.
 """
 
 from __future__ import annotations
@@ -163,9 +163,14 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: experiment config: {exc}") from None
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+def json_sha256(doc) -> str:
+    """sha256 of a JSON document in canonical form (sorted keys, no spaces)."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def config_hash(cfg: ExperimentConfig) -> str:
+    return json_sha256(config_to_dict(cfg))
 
 
 # --- scenario drawing -------------------------------------------------------
@@ -286,12 +291,17 @@ def sparse_ula_mask(n_grid: int, p: int) -> np.ndarray:
     return mask_from_indices([i * stride for i in range(p)], n_grid)
 
 
-def random_masks(n_grid: int, p: int, n_draws: int, rng) -> np.ndarray:
-    """(n_draws, N) stack of uniformly drawn P-sensor masks, at most one
-    streamed enumeration block of cells."""
+def check_n_random(n_grid: int, n_draws: int) -> None:
+    """One scene's random draws fill at most one enumeration block of cells."""
     limit = enumeration._BLOCK_CELLS // n_grid
     if not 1 <= n_draws <= limit:
         raise ValueError(f"n_random must be in [1, {limit}] on {n_grid} sensors, got {n_draws}")
+
+
+def random_masks(n_grid: int, p: int, n_draws: int, rng) -> np.ndarray:
+    """(n_draws, N) stack of uniformly drawn P-sensor masks, n_draws bounded
+    by check_n_random."""
+    check_n_random(n_grid, n_draws)
     out = np.zeros((n_draws, n_grid), dtype=int)
     for i in range(n_draws):
         out[i, rng.choice(n_grid, size=p, replace=False)] = 1
@@ -406,15 +416,17 @@ def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
     `methods` mixes built-in names (sbsa, nnc, compact_ula, sparse_ula,
     random, worst_case) with keys of `models` (each a list of trained
     networks, as load_model returns, whose mean scores are decoded top-P).
-    There must be at least one method, names must be distinct, and no model
-    may take a built-in's name. Each scene's optimum and method masks are
-    scored together by score_methods, and any method beating the optimum by
-    more than the relative tie band is a hard error. The random baseline
-    reports the mean dB of its n_random draws. The run's scenes are drawn
-    and labelled first, so each model scores all of their features in one
-    predict_selection call. runtime_s holds the run's seconds ("evaluate"),
-    those of drawing and labelling its scenes ("scenes") and those of each
-    method's selections ("select", method -> seconds).
+    Names must be distinct, at least one, no model taking a built-in's name;
+    n_random is checked before any scene is drawn. After the scenes are
+    drawn and labelled, every method but random picks for all of them (each
+    model in one predict_selection call). Then each scene draws its random
+    masks from its own stream (never more than one scene's draws held) and
+    score_methods scores them with the optimum's mask and all picks, stacked
+    in `methods` order; beating the optimum beyond the tie band is a hard
+    error. Summaries are means over the rows (random: of its draws' mean
+    dB). runtime_s holds the run's seconds ("evaluate"), those of drawing
+    and labelling its scenes ("scenes") and each method's selections
+    ("select", method -> seconds).
     """
     models = models or {}
     if not methods:
@@ -433,70 +445,54 @@ def evaluate(cfg: ExperimentConfig, methods, models=None, nnc_index=None,
             raise ValueError("method 'nnc' requires an index")
         if m not in builtin:
             raise ValueError(f"unknown method {m!r}")
+    if "random" in methods:
+        check_n_random(cfg.n_grid, n_random)
 
     geom = cfg.geometry
     p = cfg.n_select
-    rows = []
-    gaps = {m: [] for m in methods}
-    sinrs = {m: [] for m in methods}
-    matches = {m: 0 for m in methods}
     select_s = dict.fromkeys(methods, 0.0)
     t0 = time.perf_counter()
     records = list(scenario_stream(cfg, part, label_source="enumeration"))
     t_scenes = time.perf_counter() - t0
-    # each network runs once over every scene's features
-    model_masks = {}
+    # select pass: every method but random picks one mask a scene, for all scenes
     features = np.array([rec.features for rec in records])
+    picks = {}
     for m in methods:
+        t = time.perf_counter()
         if m in models:
+            picks[m] = mlp.predict_selection(models[m], features, p)
+        elif m == "nnc":
+            picks[m] = [np.asarray(nnc_index.predict(x), dtype=int) for x in features]
+        elif m != "random":
+            picks[m] = [method_mask(m, geom, rec.scenario, p) for rec in records]
+        select_s[m] = time.perf_counter() - t
+    # score pass: one scene's random draws, then all of its masks in one batch
+    rows = []
+    for i, rec in enumerate(records):
+        if "random" in methods:
             t = time.perf_counter()
-            model_masks[m] = mlp.predict_selection(models[m], features, p)
-            select_s[m] = time.perf_counter() - t
-    for n_scn, rec in enumerate(records):
-        scn = rec.scenario
-        masks = {}
-        for m in methods:
-            if m in models:
-                masks[m] = model_masks[m][n_scn]
-                continue
-            t = time.perf_counter()
-            if m == "nnc":
-                masks[m] = np.asarray(nnc_index.predict(rec.features), dtype=int)
-            elif m == "random":
-                rng = np.random.default_rng((cfg.seed, _STREAM_RANDOM_BASELINE, n_scn))
-                masks[m] = random_masks(cfg.n_grid, p, n_random, rng)
-            else:
-                masks[m] = method_mask(m, geom, scn, p)
-            select_s[m] += time.perf_counter() - t
-        opt, vals = score_methods(geom, scn, rec.label_mask, masks, rec.scenario_id)
-        opt_db = float(beamformer.sinr_db(opt))
+            rng = np.random.default_rng((cfg.seed, _STREAM_RANDOM_BASELINE, i))
+            picks["random"] = random_masks(cfg.n_grid, p, n_random, rng)
+            select_s["random"] += time.perf_counter() - t
+        masks = {m: picks[m] if m == "random" else picks[m][i] for m in methods}
+        opt, vals = score_methods(geom, rec.scenario, rec.label_mask, masks, rec.scenario_id)
         row = {
             "scenario_id": rec.scenario_id,
             "look_doa_deg": rec.look_doa_deg,
-            "n_interferers": scn.n_interferers,
+            "n_interferers": rec.scenario.n_interferers,
             "opt_mask_bits": mask_bits(rec.label_mask),
-            "opt_sinr_db": opt_db,
+            "opt_sinr_db": float(beamformer.sinr_db(opt)),
         }
         for m in methods:
-            m_db = float(np.mean(beamformer.sinr_db(vals[m])))
-            if m == "random":
-                row[f"{m}_mask_bits"] = ""
-            else:
-                row[f"{m}_mask_bits"] = mask_bits(masks[m])
-                matches[m] += np.array_equal(masks[m], rec.label_mask)
-            row[f"{m}_sinr_db"] = m_db
-            sinrs[m].append(m_db)
-            gaps[m].append(opt_db - m_db)
+            row[f"{m}_mask_bits"] = "" if m == "random" else mask_bits(masks[m])
+            row[f"{m}_sinr_db"] = float(np.mean(beamformer.sinr_db(vals[m])))
         rows.append(row)
-    n_scn = len(records)
-
-    summaries = {}
-    for m in methods:
-        summaries[m] = MethodSummary(
-            mean_sinr_db=float(np.mean(sinrs[m])),
-            mean_gap_db=float(np.mean(gaps[m])),
-            exact_match_rate=None if m == "random" else matches[m] / max(n_scn, 1),
-        )
+    summaries = {m: MethodSummary(
+        mean_sinr_db=float(np.mean([row[f"{m}_sinr_db"] for row in rows])),
+        mean_gap_db=float(np.mean([row["opt_sinr_db"] - row[f"{m}_sinr_db"] for row in rows])),
+        exact_match_rate=None if m == "random" else
+        sum(row[f"{m}_mask_bits"] == row["opt_mask_bits"] for row in rows) / len(rows),
+    ) for m in methods}
     return EvaluationResult(
         method_names=list(methods),
         rows=rows,

@@ -309,6 +309,9 @@ class TrainConfig:
             raise ValueError("monitor must be 'loss' or 'selection'")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden layer widths must be >= 1, got {list(self.hidden_sizes)}")
+        for name in ("rng_seed", "split_seed"):
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -931,6 +931,34 @@ def test_n_random_out_of_range_exits_two(config_path, scenario_path, tmp_path,
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_n_random_is_checked_before_any_scene_is_drawn_or_searched(
+        config_path, scenario_path, tmp_path, capsys, monkeypatch, command):
+    def reached(*args, **kwargs):
+        pytest.fail("a scene was drawn or searched before --n-random was checked")
+
+    monkeypatch.setattr(harness, "scenario_stream", reached)
+    monkeypatch.setattr(enumeration, "enumerate_best", reached)
+    if command == "eval":
+        argv = ["eval", config_path]
+    else:
+        argv = ["compare", scenario_path, "--n-grid", "8", "--n-select", "3"]
+    assert cli.main([*argv, "--n-random", "0", "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: n_random must be in [1, 262144] on 8 sensors, got 0\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["train", "d.csv"], "--seed"), (["train", "d.csv"], "--split-seed"),
+    (["compare", "s.json", "--n-grid", "8", "--n-select", "3"], "--seed"),
+    (["eval", "c.json"], "--seed")])
+def test_negative_seed_exits_two_naming_its_flag(tmp_path, capsys, argv, flag):
+    # refused before any input file is read
+    out = tmp_path / "out"
+    assert cli.main([*argv, flag, "-1", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_every_manifest_has_provenance_keys(config_path, scenario_path, tmp_path):
     out = tmp_path / "out"
     scene_args = [scenario_path, "--n-grid", "8", "--n-select", "3", "--out-dir", str(out)]

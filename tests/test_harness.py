@@ -8,7 +8,7 @@ import pytest
 
 from sparsebeam import beamformer, cli, enumeration, harness, mlp, nnc, scene
 
-from .oracles import csv_writer_bytes
+from .oracles import csv_writer_bytes, oracle_evaluate
 
 
 def tiny_config(**overrides):
@@ -233,6 +233,37 @@ def test_evaluate_runs_each_network_once_and_keeps_per_scene_masks(monkeypatch):
     assert len(result.rows) == len(test) == 48
     for row, rec in zip(result.rows, test):
         assert row["dnn_mask_bits"] == beamformer.mask_bits(predict(model, rec.features, 4))
+
+
+@pytest.mark.parametrize("overrides, n_random", [
+    pytest.param({}, 30, id="exact-P3-random30"),
+    pytest.param({"n_snapshots": 512}, 1, id="toeplitz512-P3-random1"),
+    pytest.param({"n_select": 1, "n_snapshots": 512}, 30, id="toeplitz512-P1-random30"),
+    pytest.param({"n_select": 8}, 1, id="exact-PN-random1"),
+])
+def test_evaluate_matches_the_per_scene_loop_bit_for_bit(monkeypatch, overrides, n_random):
+    # the two passes pick, draw and score what the per-scene loop did: the
+    # same rows and summaries to the last bit, and the same stack of masks
+    # scored per scene (whose order can move the scores' last bits)
+    cfg = tiny_config(look_doas_deg=(30.0, 75.0), n_test_per_look=5, seed=11, **overrides)
+    train = list(harness.scenario_stream(cfg, "train"))
+    index = nnc.NncIndex(np.stack([r.features for r in train]),
+                         np.stack([r.label_mask for r in train]))
+    models = {"dnn": [mlp.init_model([2 * cfg.n_grid - 1, 12, 6, cfg.n_grid], seed=s)
+                      for s in (1, 2)]}
+    methods = ["sbsa", "random", "dnn", "nnc", "worst_case", "compact_ula", "sparse_ula"]
+    stacks = []
+    scorer = beamformer.masks_sinr
+    monkeypatch.setattr(beamformer, "masks_sinr",
+                        lambda geom, scn, masks: stacks.append(masks) or scorer(geom, scn, masks))
+    result = harness.evaluate(cfg, methods, models=models, nnc_index=index, n_random=n_random)
+    got, stacks[:] = stacks[:], []
+    rows, summaries = oracle_evaluate(cfg, methods, models=models, nnc_index=index,
+                                      n_random=n_random)
+    assert len(rows) == len(got) == len(stacks) == 10
+    assert all(np.array_equal(a, b) for a, b in zip(got, stacks))
+    assert repr(result.rows) == repr(rows)
+    assert repr(result.summaries) == repr(summaries)
 
 
 def test_predict_selection_batches_rows_under_the_cell_cap(monkeypatch):

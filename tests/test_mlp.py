@@ -441,3 +441,7 @@ def test_train_config_validation():
     for rate in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate"):
             mlp.TrainConfig(learning_rate=rate)
+    for name in ("rng_seed", "split_seed"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+            mlp.TrainConfig(**{name: -1})
+    assert mlp.TrainConfig(rng_seed=0, split_seed=0).split_seed == 0
