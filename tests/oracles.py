@@ -7,6 +7,8 @@ rendered with the standard csv module. The one exception is
 oracle_evaluate, the per-scene evaluation loop that the two-pass
 harness.evaluate replaced: it calls the library's selectors and scorer,
 and pins the order in which they run and the streams they draw from.
+Its random baseline comes from oracle_random_masks, one Generator.choice
+call per mask, which harness.random_masks replays from raw words.
 """
 
 import csv
@@ -300,6 +302,14 @@ def oracle_read_dataset(path):
     return np.array(numbers)[:, 1:], y, ids
 
 
+def oracle_random_masks(n_grid, p, n_draws, rng):
+    """The masks of n_draws rng.choice(n_grid, p, replace=False) calls."""
+    out = np.zeros((n_draws, n_grid), dtype=int)
+    for i in range(n_draws):
+        out[i, rng.choice(n_grid, size=p, replace=False)] = 1
+    return out
+
+
 def oracle_evaluate(cfg, methods, models=None, nnc_index=None, part="test", n_random=100):
     """(rows, summaries) of harness.evaluate from one pass per scene: every
     method picks its mask scene by scene (the networks in one batch over
@@ -328,7 +338,7 @@ def oracle_evaluate(cfg, methods, models=None, nnc_index=None, part="test", n_ra
                 masks[m] = np.asarray(nnc_index.predict(rec.features), dtype=int)
             elif m == "random":
                 rng = np.random.default_rng((cfg.seed, 2, n_scn))
-                masks[m] = harness.random_masks(cfg.n_grid, p, n_random, rng)
+                masks[m] = oracle_random_masks(cfg.n_grid, p, n_random, rng)
             else:
                 masks[m] = harness.method_mask(m, geom, scn, p)
         opt, vals = harness.score_methods(geom, scn, rec.label_mask, masks, rec.scenario_id)

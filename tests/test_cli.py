@@ -947,6 +947,16 @@ def test_n_random_is_checked_before_any_scene_is_drawn_or_searched(
     assert capsys.readouterr().err == "error: n_random must be in [1, 262144] on 8 sensors, got 0\n"
 
 
+def test_n_random_is_checked_without_the_random_method(config_path, tmp_path):
+    # the default of 100 is always in range, so every eval checks the flag
+    out = tmp_path / "out"
+    proc = run_capped(["eval", config_path, "--methods", "compact_ula", "--n-random", "0",
+                       "--out-dir", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: n_random must be in [1, 262144] on 8 sensors, got 0\n"
+    assert not list(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["train", "d.csv"], "--seed"), (["train", "d.csv"], "--split-seed"),
     (["compare", "s.json", "--n-grid", "8", "--n-select", "3"], "--seed"),

@@ -2,13 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sparsebeam import beamformer, cli, enumeration, harness, mlp, nnc, scene
 
-from .oracles import csv_writer_bytes, oracle_evaluate
+from .oracles import csv_writer_bytes, oracle_evaluate, oracle_random_masks
 
 
 def tiny_config(**overrides):
@@ -128,6 +129,106 @@ def test_baseline_mask_shapes():
     draws = harness.random_masks(10, 4, 25, rng)
     assert draws.shape == (25, 10)
     assert np.all(draws.sum(axis=1) == 4)
+
+
+def assert_replays_choice(n_grid, p, counts, make_rng):
+    """random_masks on one generator gives, call after call, the masks of
+    Generator.choice on a twin, and leaves it where choice leaves it."""
+    rng, twin = make_rng(), make_rng()
+    for n_draws in counts:
+        assert np.array_equal(harness.random_masks(n_grid, p, n_draws, rng),
+                              oracle_random_masks(n_grid, p, n_draws, twin))
+    assert live_state(rng) == live_state(twin)
+    assert rng.random() == twin.random()
+
+
+def live_state(rng):
+    """The bit generator's state, without a buffered 32-bit half that is
+    not flagged as held (never read again, so the replay may leave any)."""
+    state = rng.bit_generator.state
+    if not state.get("has_uint32"):
+        state.pop("uinteger", None)
+    return json.dumps(state, sort_keys=True, default=lambda a: a.tolist())
+
+
+REPLAY_SHAPES = [(12, 6), (8, 3), (16, 6), (20, 8), (12, 2), (24, 12), (2, 1), (256, 128)]
+
+
+@pytest.mark.parametrize("n_grid, p", REPLAY_SHAPES)
+def test_random_masks_replay_choice_bit_for_bit(monkeypatch, n_grid, p):
+    # 2P-1 halves a mask, so an odd mask count ends on a buffered high half
+    # that the second call (and the next draw) must start from
+    for seed in range(2000):
+        assert_replays_choice(n_grid, p, (1 + seed % 4, 1 + seed // 4 % 3),
+                              lambda: np.random.default_rng(seed))
+    # blocks of two rows, so every block boundary is crossed
+    monkeypatch.setattr(harness, "_REPLAY_BLOCK_CELLS", 1)
+    for seed in range(50):
+        assert_replays_choice(n_grid, p, (7, 4), lambda: np.random.default_rng(seed))
+
+
+def rejecting_pcg64(seed):
+    """A PCG64 generator whose next 64-bit word is 0: the step state' =
+    state * mult + inc lands on equal 64-bit halves, which the XSL-RR output
+    xors to 0, so Lemire's method rejects the first draw of any bound whose
+    2^32 mod (bound+1) is nonzero."""
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    bitgen = np.random.PCG64(seed)
+    state = bitgen.state
+    half = int(np.random.default_rng(seed).integers(1 << 63))
+    target = half << 64 | half
+    inc = state["state"]["inc"]
+    state["state"]["state"] = (target - inc) * pow(mult, -1, 1 << 128) % (1 << 128)
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+def buffered_pcg64(seed):
+    """A PCG64 generator holding the high half of a word: a draw below 2^32
+    takes a word's low half and keeps the other for the next one."""
+    rng = np.random.default_rng(seed)
+    rng.integers(10)
+    assert rng.bit_generator.state["has_uint32"]
+    return rng
+
+
+@pytest.mark.parametrize("n_grid, p, make_rng", [
+    pytest.param(8, 8, np.random.default_rng, id="P=N"),
+    pytest.param(12, 6, lambda s: np.random.Generator(np.random.Philox(s)), id="Philox"),
+    pytest.param(12, 6, lambda s: np.random.Generator(np.random.MT19937(s)), id="MT19937"),
+    pytest.param(12, 6, buffered_pcg64, id="buffered-half"),
+    pytest.param(12, 6, rejecting_pcg64, id="lemire-rejection"),
+])
+def test_random_masks_falls_back_to_choice_calls(n_grid, p, make_rng):
+    for seed in range(20):
+        assert_replays_choice(n_grid, p, (5, 3), lambda: make_rng(seed))
+
+
+def test_rejecting_pcg64_state_yields_a_zero_word():
+    assert rejecting_pcg64(3).bit_generator.random_raw() == 0
+    assert harness._replay_choice(np.zeros((5, 12), dtype=int), 6,
+                                  rejecting_pcg64(3).bit_generator) is False
+
+
+@pytest.mark.parametrize("n_grid, p", [(12, 6), (256, 128)])
+def test_random_masks_memory_is_bounded_by_its_output(monkeypatch, n_grid, p):
+    # the largest --n-random: the replay holds the masks and one block more
+    n_draws = enumeration._BLOCK_CELLS // n_grid
+    replayed = []
+    replay = harness._replay_choice
+    monkeypatch.setattr(harness, "_replay_choice",
+                        lambda *args: replayed.append(replay(*args)) or replayed[-1])
+    tracemalloc.start()
+    try:
+        masks = harness.random_masks(n_grid, p, n_draws, np.random.default_rng(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert replayed == [True]
+    assert masks.shape == (n_draws, n_grid)
+    assert peak <= 2 * masks.nbytes
+    assert np.array_equal(masks, oracle_random_masks(n_grid, p, n_draws,
+                                                     np.random.default_rng(9)))
 
 
 def test_worst_case_mask_is_the_enumerated_minimum():
