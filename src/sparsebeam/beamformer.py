@@ -241,8 +241,12 @@ def subset_sinr_batch(terms: SceneTerms, masks) -> np.ndarray:
     of its LDL^H factorization, computed for all rows at once, is the Schur
     complement |s_J|^2 - b_J^H (sigma^2 diag(p)^-1 + G_J)^-1 b_J. A score that
     is not finite and positive (the pivot lost every digit) is a ValueError.
+    A lone row is scored as a two-row product: numpy hands a one-row product
+    to GEMV, whose last bits can differ from the row's score in a table.
     """
-    h = (np.asarray(masks, dtype=float) @ terms.table).view(complex)
+    masks = np.asarray(masks, dtype=float)
+    h = (np.vstack([masks, masks]) if len(masks) == 1 else masks) @ terms.table
+    h = h[:len(masks)].view(complex)
     size = len(terms.ridge) + 1
     scaled, unit, pivots = {}, {}, []   # L_ij * d_j, L_ij and d_i of H = L D L^H
     col = 0

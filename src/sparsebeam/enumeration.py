@@ -2,13 +2,15 @@
 
 Subsets are visited in lexicographic order of their sorted index tuples, and
 that order defines the stable rank_id used in files. Each scene is scored by
-beamformer.subset_sinr_batch over blocks of 0/1 masks (one cached table per
-(N, P) when all subsets fit in one block, and at most _BLOCK_CELLS mask
-cells per block otherwise); the budget counts subsets, and on grids wider
-than BUDGET_GRID it charges each subset N / BUDGET_GRID, so it bounds the
-mask cells an enumeration touches as well. The reduction keeps the first
-configuration within a 1e-12 relative tie band, so the argmax is the
-lexicographically smallest optimal subset and is independent of chunking.
+beamformer.subset_sinr_batch over blocks of 0/1 masks cut from one cached
+table: with k the fewest leading indices whose completions fit _BLOCK_CELLS
+mask cells, a block is the rows of the (P-k)-subsets of range(k, N) that lie
+past one k-subset prefix, with the prefix's bits set (k = 0: the table
+itself). The budget counts subsets, and on grids wider than BUDGET_GRID it
+charges each subset N / BUDGET_GRID, so it bounds the mask cells an
+enumeration touches as well. The reduction keeps the first configuration
+within a 1e-12 relative tie band, so the argmax is the lexicographically
+smallest optimal subset and is independent of the blocks.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ DEFAULT_BUDGET = 10_000_000
 # a subset on a grid wider than this costs N / BUDGET_GRID of the budget, so
 # the budget bounds the C(N,P) * N mask cells an enumeration touches
 BUDGET_GRID = 64
-_CHUNK = 1 << 16
-# mask cells per streamed block (16 MiB of float64): _CHUNK rows up to N = 32
+# mask cells per block (16 MiB of float64)
 _BLOCK_CELLS = 1 << 21
 
 
@@ -125,45 +126,46 @@ def _index_masks(subsets: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _subset_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every P-subset of range(n) as read-only (C, P) indices and (C, N) float masks."""
-    subsets = np.array(list(itertools.combinations(range(n), p)), dtype=np.intp)
+def _subset_table(n: int, p: int, k: int) -> np.ndarray:
+    """Every (P-k)-subset of range(k, n) as read-only (C, N) float masks, in
+    lexicographic order."""
+    subsets = np.array(list(itertools.combinations(range(k, n), p - k)), dtype=np.intp)
     masks = _index_masks(subsets, n)
-    subsets.flags.writeable = masks.flags.writeable = False
-    return subsets, masks
+    masks.flags.writeable = False
+    return masks
 
 
 def _subset_chunks(n: int, p: int):
-    """Yield (start_rank, indices, float masks) blocks of at most _CHUNK
-    subsets and _BLOCK_CELLS mask cells, in lexicographic order. An
-    enumeration that fits in one block comes from the cached table; a bigger
-    one is streamed."""
-    rows = max(1, min(_CHUNK, _BLOCK_CELLS // n))
-    if math.comb(n, p) <= rows:
-        yield 0, *_subset_table(n, p)
+    """Yield (start_rank, float masks) blocks of every P-subset of range(n)
+    in lexicographic order, each within max(_BLOCK_CELLS, n) mask cells; the
+    k-subset prefixes of the module docstring, where k = p leaves one row."""
+    k = next((k for k in range(p) if math.comb(n - k, p - k) * n <= _BLOCK_CELLS), p)
+    table = _subset_table(n, p, k)
+    if k == 0:
+        yield 0, table
         return
-    it = itertools.combinations(range(n), p)
     start = 0
-    while block := list(itertools.islice(it, rows)):
-        subsets = np.array(block, dtype=np.intp)
-        yield start, subsets, _index_masks(subsets, n)
+    for prefix in itertools.combinations(range(n - p + k), k):
+        block = table[len(table) - math.comb(n - 1 - prefix[-1], p - k):].copy()
+        block[:, prefix] = 1.0
+        yield start, block
         start += len(block)
 
 
 def scan_subsets(geom, scn, p: int, worst: bool = False,
                  budget: int = DEFAULT_BUDGET) -> RankedConfiguration:
     """The subset of highest output SINR, or the lowest with `worst`, scored
-    chunk by chunk with beamformer.subset_sinr_batch.
+    block by block with beamformer.subset_sinr_batch.
 
     A configuration and its grid-reversed mirror score the same in exact
     arithmetic but differ by ~1e-14 in floats, so the first subset in
     lexicographic order within the relative tie band of the extreme wins,
-    whatever the chunking.
+    whatever the blocks.
     """
     _check_budget(geom.n_grid, p, budget)
     terms = beamformer.scene_terms(geom, scn)
     kept = None
-    for start, _, masks in _subset_chunks(geom.n_grid, p):
+    for start, masks in _subset_chunks(geom.n_grid, p):
         vals = beamformer.subset_sinr_batch(terms, masks)
         if worst:
             k = int(np.argmax(vals <= vals.min() * (1.0 + REL_TIE_TOL)))
@@ -200,7 +202,7 @@ def enumerate_all_ranked(geom, scn, p: int, with_objective: bool = False,
     sinrs = np.empty(count)
     omegas = np.empty(count) if with_objective else None
     weights = sbsa.overlap_weights(geom, scn) if with_objective else None
-    for start, _, masks in _subset_chunks(geom.n_grid, p):
+    for start, masks in _subset_chunks(geom.n_grid, p):
         sinrs[start:start + len(masks)] = beamformer.subset_sinr_batch(terms, masks)
         if with_objective:
             omegas[start:start + len(masks)] = sbsa.omega_batch(sbsa.lag_counts(masks), weights)

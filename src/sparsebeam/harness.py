@@ -208,12 +208,12 @@ def draw_scenario(cfg: ExperimentConfig, look_doa_deg: float, rng) -> Scenario:
     return Scenario(desired=desired, interferers=interferers, noise_power=cfg.noise_power)
 
 
-def _perturbed(nominal: Scenario, pert, rng) -> Scenario:
+def _perturbed(nominal: Scenario, doa_variance_deg2: float, rng) -> Scenario:
     # clamping makes an angle collision possible in principle; redraw if so
     for _ in range(100):
         seed = int(rng.integers(0, 2**63))
         try:
-            return snapshots.perturb_scenario(nominal, pert, seed=seed)
+            return snapshots.perturb_scenario(nominal, doa_variance_deg2, seed=seed)
         except ValueError:
             continue
     raise ValueError("doa_variance_deg2 too large to draw a collision-free perturbed scenario")
@@ -259,13 +259,13 @@ def scenario_stream(cfg: ExperimentConfig, part: str, label_source: str | None =
     if label_source is not None:
         cfg = replace(cfg, label_source=label_source)
     geom = cfg.geometry
-    pert = snapshots.PerturbationSpec(cfg.doa_variance_deg2)
     n_items = cfg.n_train_per_look if part == "train" else cfg.n_test_per_look
     for look_idx, look in enumerate(cfg.look_doas_deg):
         rng = np.random.default_rng((cfg.seed, _PART_STREAM[part], look_idx))
         for i in range(n_items):
             nominal = draw_scenario(cfg, look, rng)
-            scn = _perturbed(nominal, pert, rng) if cfg.doa_variance_deg2 > 0 else nominal
+            scn = (_perturbed(nominal, cfg.doa_variance_deg2, rng) if cfg.doa_variance_deg2 > 0
+                   else nominal)
             feats = _features_for(cfg, geom, scn, rng)
             if cfg.label_source == "enumeration":
                 best = enumeration.enumerate_best(geom, scn, cfg.n_select)
@@ -393,11 +393,10 @@ def score_methods(geom, scn, opt_mask, masks: dict, sid: str) -> tuple[float, di
     """Linear SINR of the optimum and of every method's mask rows, one scene.
 
     `masks` maps each method to one mask or a stack of mask rows. The
-    optimum's mask is stacked first, so the batch has at least two rows and
-    every row is scored on one path (numpy scores a lone row through another
-    BLAS routine, which can differ in the last digits), in one masks_sinr
-    call. Each method's slice must pass the optimality audit. Returns the
-    optimum's value and method -> its rows' values.
+    optimum's mask is stacked first and every row is scored in one
+    masks_sinr call, so a method that picks the optimum reads its value to
+    the last digit. Each method's slice must pass the optimality audit.
+    Returns the optimum's value and method -> its rows' values.
     """
     blocks = [np.atleast_2d(m) for m in masks.values()]
     vals = beamformer.masks_sinr(geom, scn, np.vstack([opt_mask, *blocks]))
@@ -606,8 +605,11 @@ def overlap_sweep(geom, scn, p: int, budget: int = enumeration.DEFAULT_BUDGET) -
     Sorts all C(N,P) configurations by the spectral-overlap objective and
     compares the mean SINR of the low-overlap half against the high-overlap
     half; a negative trend (lower overlap, higher SINR) is what justifies
-    greedy overlap minimization.
+    greedy overlap minimization. Fewer than two configurations have no
+    halves to compare, a ValueError before anything is scored.
     """
+    if enumeration._check_budget(geom.n_grid, p, budget) < 2:
+        raise ValueError(f"the sweep needs two configurations, but C({geom.n_grid},{p}) = 1")
     ranking = enumeration.enumerate_all_ranked(geom, scn, p, with_objective=True, budget=budget)
     db = beamformer.sinr_db(ranking.sinr)
     half = len(db) // 2

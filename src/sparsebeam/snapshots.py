@@ -12,24 +12,13 @@ run re-simulates them from its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import scene
 
 _DOA_CLAMP = (0.5, 179.5)
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Gaussian DOA jitter, variance in squared degrees."""
-
-    doa_variance_deg2: float = 0.25
-
-    def __post_init__(self):
-        if self.doa_variance_deg2 < 0:
-            raise ValueError("variance must be >= 0")
 
 
 def simulate_snapshots(geom, scn, n_snapshots: int, seed: int) -> np.ndarray:
@@ -93,14 +82,17 @@ def toeplitz_average(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def perturb_scenario(scn, pert: PerturbationSpec, seed: int):
-    """Scenario copy with Gaussian-jittered DOAs, clamped to (0.5, 179.5) deg.
+def perturb_scenario(scn, doa_variance_deg2: float, seed: int):
+    """Scenario copy with Gaussian-jittered DOAs (variance in squared
+    degrees), clamped to (0.5, 179.5) deg.
 
     Jitter is drawn for the desired source first, then each interferer in
     order.
     """
+    if doa_variance_deg2 < 0:
+        raise ValueError("variance must be >= 0")
     rng = np.random.default_rng(seed)
-    std = float(np.sqrt(pert.doa_variance_deg2))
+    std = float(np.sqrt(doa_variance_deg2))
 
     def jitter(doa):
         return float(np.clip(doa + float(rng.normal(0.0, std)), *_DOA_CLAMP))

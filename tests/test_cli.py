@@ -253,6 +253,19 @@ def test_fig7_command(scenario_path, tmp_path, capsys):
             "best_position"} <= set(manifest)
 
 
+def test_fig7_with_one_configuration_exits_two(scenario_path, tmp_path, capsys):
+    # P = N leaves one configuration, so there are no two halves to compare
+    out = tmp_path / "out"
+    rc = cli.main(["fig7", scenario_path, "--n-grid", "8", "--n-select", "8",
+                   "--out-dir", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "C(8,8) = 1" in captured.err
+    assert not (out / "fig7_manifest.json").exists()
+
+
 def test_compare_command_gaps_nonnegative(scenario_path, tmp_path):
     out = tmp_path / "out"
     rc = cli.main(["compare", scenario_path, "--n-grid", "8", "--n-select", "3",

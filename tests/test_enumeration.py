@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,9 +172,9 @@ def test_streamed_blocks_bound_mask_cells(monkeypatch):
     monkeypatch.setattr(enumeration, "_BLOCK_CELLS", 100)
     for n, p in ((12, 3), (30, 2), (150, 1)):
         start = 0
-        for first, subsets, masks in enumeration._subset_chunks(n, p):
+        for first, masks in enumeration._subset_chunks(n, p):
             assert first == start and masks.size <= max(100, n)
-            assert np.array_equal(np.flatnonzero(masks[0]), subsets[0])
+            assert np.array_equal(np.flatnonzero(masks[0]), enumeration.subset_unrank(first, n, p))
             start += len(masks)
         assert start == math.comb(n, p)
     rng = np.random.default_rng(73)
@@ -183,6 +184,52 @@ def test_streamed_blocks_bound_mask_cells(monkeypatch):
     monkeypatch.undo()
     ref = enumeration.enumerate_best(geom, scn, 4)
     assert best.rank_id == ref.rank_id
+
+
+@pytest.mark.parametrize("cells, k", [(1134, 0), (504, 1), (189, 2), (54, 3), (53, 4), (1, 4)])
+def test_blocks_follow_combinations_order(monkeypatch, cells, k):
+    # C(9, 4) = 126 subsets: 126 x 9 = 1134 cells fit one block; with k
+    # leading indices fixed, the C(9 - k, 4 - k) completions of each prefix
+    # take 504, 189, 54 and 9 cells
+    n, p = 9, 4
+    monkeypatch.setattr(enumeration, "_BLOCK_CELLS", cells)
+    want = iter(itertools.combinations(range(n), p))
+    blocks = list(enumeration._subset_chunks(n, p))
+    start = 0
+    for first, masks in blocks:
+        assert first == start and masks.size <= max(cells, n)
+        assert len({tuple(np.flatnonzero(row)[:k]) for row in masks}) == 1
+        for row in masks:
+            assert tuple(np.flatnonzero(row)) == next(want)
+        start += len(masks)
+    assert next(want, None) is None
+    # one block per k-subset that leaves room for P - k later indices
+    assert len(blocks) == math.comb(n - p + k, k)
+    if k == 0:
+        assert blocks[0][1] is enumeration._subset_table(n, p, 0)
+
+
+def test_enumeration_memory_is_bounded_by_blocks():
+    # N = 20, P = 8: the cached table and one block copy hold at most one
+    # block of mask cells each, and the scorer's scratch for four
+    # interferers (30 Gram floats and the LDL^H terms a row) one more.
+    # N = 200, P = 3: two leading indices leave a 198-row table, so the
+    # blocks take far less than an eighth of a block
+    block = 8 * enumeration._BLOCK_CELLS
+    doas = (20.0, 100.0, 130.0, 150.0)
+    for n, p, l_count, bound in ((20, 8, 4, 3 * block), (200, 3, 1, block // 8)):
+        geom = scene.ArrayGeometry(n_grid=n)
+        scn = scene.Scenario(desired=scene.SourceSpec(doa_deg=60.0), interferers=tuple(
+            scene.SourceSpec(doa_deg=d, power=30.0) for d in doas[:l_count]))
+        enumeration._subset_table.cache_clear()
+        tracemalloc.start()
+        try:
+            best = enumeration.enumerate_best(geom, scn, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert best.mask.sum() == p
+        assert peak <= bound
 
 
 def test_tied_optimum_resolves_to_lexicographically_first():
@@ -227,8 +274,8 @@ def test_ranked_csv_round_trip(tmp_path):
             tmp_path / "want.csv", ["rank_id", "mask_bits", "sinr_db", "omega"], rows)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
-def test_enumeration_is_independent_of_chunking(monkeypatch, chunk):
+@pytest.mark.parametrize("cells", [1, 60, 1 << 16])
+def test_enumeration_is_independent_of_chunking(monkeypatch, cells):
     rng = np.random.default_rng(61)
     cases = []
     for _ in range(12):
@@ -243,7 +290,8 @@ def test_enumeration_is_independent_of_chunking(monkeypatch, chunk):
                      scene.SourceSpec(doa_deg=120.0, power=10.0))), 3))
     want = [(enumeration.enumerate_best(g, s, p), enumeration.enumerate_worst(g, s, p))
             for g, s, p in cases]
-    monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+    # one cell a block leaves one row a block
+    monkeypatch.setattr(enumeration, "_BLOCK_CELLS", cells)
     for (geom, scn, p), (best, worst) in zip(cases, want):
         for got, ref in ((enumeration.enumerate_best(geom, scn, p), best),
                          (enumeration.enumerate_worst(geom, scn, p), worst)):
@@ -272,11 +320,14 @@ def test_masks_sinr_agrees_with_enumeration_table():
 
 
 def test_subset_table_is_shared_and_read_only():
-    subsets, masks = enumeration._subset_table(7, 3)
-    assert enumeration._subset_table(7, 3)[1] is masks
-    assert subsets.shape == (math.comb(7, 3), 3) and masks.shape == (math.comb(7, 3), 7)
-    assert np.array_equal(np.flatnonzero(masks[0]), subsets[0])
+    masks = enumeration._subset_table(7, 3, 0)
+    assert enumeration._subset_table(7, 3, 0) is masks
+    assert masks.shape == (math.comb(7, 3), 7)
+    assert np.array_equal(np.flatnonzero(masks[0]), [0, 1, 2])
+    # with two leading indices left to a prefix: every 1-subset of range(2, 7)
+    tail = enumeration._subset_table(7, 3, 2)
+    assert np.array_equal(tail, np.eye(7)[2:])
     with pytest.raises(ValueError):
         masks[0, 0] = 0.0
     with pytest.raises(ValueError):
-        subsets[0, 0] = 1
+        tail[0, 2] = 0.0

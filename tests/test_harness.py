@@ -498,8 +498,10 @@ def test_overlap_sweep_breaks_exact_ties_by_rank_id():
         assert np.all(np.diff(sweep.rank_ids)[tied] > 0)
 
 
-@pytest.mark.parametrize("chunk", [7, 1 << 16])
-def test_sweep_csv_is_independent_of_chunking(monkeypatch, tmp_path, chunk):
+# at N = 16, 7 cells leave one row a block, and 65,536 cells fix the first
+# index: eleven blocks of at most C(15, 5) = 3,003 rows, the last of one
+@pytest.mark.parametrize("cells", [7, 1 << 16])
+def test_sweep_csv_is_independent_of_chunking(monkeypatch, tmp_path, cells):
     geom = scene.ArrayGeometry(16)
     writers = {
         "sweep": lambda path, scn: harness.write_sweep_csv(
@@ -514,6 +516,6 @@ def test_sweep_csv_is_independent_of_chunking(monkeypatch, tmp_path, chunk):
             want, got = tmp_path / f"want-{name}{i}.csv", tmp_path / f"got-{name}{i}.csv"
             write(want, scn)
             with monkeypatch.context() as patch:
-                patch.setattr(enumeration, "_CHUNK", chunk)
+                patch.setattr(enumeration, "_BLOCK_CELLS", cells)
                 write(got, scn)
             assert got.read_bytes() == want.read_bytes()

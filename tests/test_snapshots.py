@@ -1,6 +1,7 @@
 """Finite-sample simulation, covariance estimation, and DOA perturbation."""
 
 import numpy as np
+import pytest
 
 from sparsebeam import scene, snapshots
 
@@ -72,10 +73,9 @@ def test_toeplitz_average_preserves_exact_toeplitz_input():
 
 def test_perturbation_spreads_doas_with_expected_scale():
     geom, scn = build(l_count=3, seed=8)
-    pert = snapshots.PerturbationSpec(doa_variance_deg2=0.25)
     deltas = []
     for seed in range(400):
-        p = snapshots.perturb_scenario(scn, pert, seed=seed)
+        p = snapshots.perturb_scenario(scn, 0.25, seed=seed)
         deltas.append(p.desired.doa_deg - scn.desired.doa_deg)
         assert len(p.interferers) == len(scn.interferers)
         for a, b in zip(p.interferers, scn.interferers):
@@ -86,16 +86,16 @@ def test_perturbation_spreads_doas_with_expected_scale():
 
 def test_perturbation_respects_flags_and_clamps():
     geom, scn = build(l_count=2, seed=9)
-    pert = snapshots.PerturbationSpec(doa_variance_deg2=0.25)
     # one seed jitters every source: the desired one first, then each interferer
-    moved = snapshots.perturb_scenario(scn, pert, seed=1)
+    moved = snapshots.perturb_scenario(scn, 0.25, seed=1)
     rng = np.random.default_rng(1)
     for a, b in zip([moved.desired, *moved.interferers], [scn.desired, *scn.interferers]):
         assert a.doa_deg == b.doa_deg + rng.normal(0.0, 0.5)
 
     edge = scene.Scenario(desired=scene.SourceSpec(doa_deg=0.6),
                           noise_power=1.0)
-    big = snapshots.PerturbationSpec(doa_variance_deg2=100.0)
     for seed in range(50):
-        p = snapshots.perturb_scenario(edge, big, seed=seed)
+        p = snapshots.perturb_scenario(edge, 100.0, seed=seed)
         assert 0.5 <= p.desired.doa_deg <= 179.5
+    with pytest.raises(ValueError, match="variance"):
+        snapshots.perturb_scenario(edge, -0.25, seed=1)
