@@ -16,6 +16,7 @@ factorization per subset, vectorized over subsets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -216,10 +217,19 @@ class SceneTerms:
     source_power: float
 
 
+@functools.lru_cache(maxsize=8)
+def _lower_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(size), cached per source count as read-only arrays."""
+    pairs = np.tril_indices(size)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def scene_terms(geom, scn) -> SceneTerms:
     u = np.stack([scene.steering_vector(geom, src.doa_deg) for src in scn.interferers]
                  + [scene.steering_vector(geom, scn.desired.doa_deg)])
-    i, j = np.tril_indices(len(u))
+    i, j = _lower_pairs(len(u))
     table = np.ascontiguousarray((u[i].conj() * u[j]).T).view(np.float64)
     return SceneTerms(
         table=table,

@@ -3,12 +3,14 @@
 Subcommands: gen-data, train, eval, sbsa, enumerate, fig7, compare. Every
 command writes CSV outputs plus a small JSON run manifest (inputs, config
 hash, seeds, library versions) into --out-dir. Exit codes: 0 success, 2 bad
-configuration or input, 3 enumeration budget exceeded.
+configuration or input, 3 enumeration budget exceeded; on 2 or 3 the
+directories the call made for --out-dir are removed while they are empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -352,8 +354,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _missing_dirs(path) -> list[str]:
+    """The directories os.makedirs(path) would create, deepest first."""
+    missing = []
+    while path and not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    created = _missing_dirs(args.out_dir)
     try:
         for flag in ("--seed", "--split-seed"):
             seed = getattr(args, flag[2:].replace("-", "_"), None)
@@ -362,11 +374,15 @@ def main(argv=None) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
         return args.func(args)
     except enumeration.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, exc
     except (ValueError, KeyError, OSError, mlp.TrainingDivergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, exc
+    print(f"error: {error}", file=sys.stderr)
+    # a failed call leaves no --out-dir behind that it made and left empty
+    for path in created:
+        with contextlib.suppress(OSError):
+            os.rmdir(path)
+    return code
 
 
 if __name__ == "__main__":

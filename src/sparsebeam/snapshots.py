@@ -12,6 +12,7 @@ run re-simulates them from its seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -54,32 +55,69 @@ def sample_covariance(snapshots: np.ndarray) -> np.ndarray:
     return 0.5 * (r + r.conj().T)
 
 
+@functools.lru_cache(maxsize=4)
+def _diagonal_pairs(n: int):
+    """Read-only index tables of toeplitz_average for an (n, n) matrix.
+
+    gather: flat indices of every diagonal pair, k = 0 .. n-1, each the k-th
+    superdiagonal and then the k-th subdiagonal (n(n+1) entries in all);
+    lower: True on the subdiagonal half of each pair; first: the position
+    in gather where each entry's pair starts; starts / lengths: where each
+    pair starts and its 2(n-k) entries, also as slices; source: for every
+    cell of the result, k on and above the diagonal and n + k below it.
+    """
+    lengths = 2 * np.arange(n, 0, -1, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    k = np.repeat(np.arange(n), lengths)
+    first = starts[k]
+    d = np.arange(k.size) - first
+    lower = d >= n - k
+    d = np.where(lower, d - (n - k), d)
+    gather = np.where(lower, (d + k) * n + d, d * n + d + k)
+    i, j = np.indices((n, n))
+    source = np.where(j >= i, j - i, n + i - j)
+    for t in (gather, lower, first, starts, lengths, source):
+        t.flags.writeable = False
+    slices = tuple(slice(a, a + m) for a, m in zip(starts.tolist(), lengths.tolist()))
+    return gather, lower, first, starts, lengths, slices, source
+
+
 def toeplitz_average(r: np.ndarray) -> np.ndarray:
     """Replace each diagonal by its mean, keeping the matrix Hermitian.
 
     Averages the k-th superdiagonal together with the conjugate of the k-th
-    subdiagonal, writes the mean back to both. A matrix that is already
-    Hermitian Toeplitz is returned bit-exactly unchanged.
+    subdiagonal and writes the mean back to both (its conjugate below the
+    diagonal; the main diagonal keeps the real part, with imaginary part
+    -0.0). A pair whose entries all compare equal keeps its first entry, so
+    a matrix that is already Hermitian Toeplitz is returned unchanged, bit
+    for bit apart from the sign of its diagonal's zero imaginary parts.
+
+    Every pair is gathered in one take through the cached flat index of
+    _diagonal_pairs, and each mean is formed the way np.mean forms it, so
+    its bits equal np.mean's: one np.add.reduce over the pair's contiguous
+    entries, which is numpy's pairwise sum (in float64 for bool and integer
+    input, float32 for float16), then one division of all the sums by the
+    pair lengths as intp, as np.mean divides by its intp count (float32 and
+    complex64 sums therefore divide in double precision and round back; a
+    float16 mean is rounded to float16). np.add.reduceat is not used: it
+    sums each segment left to right, not pairwise.
     """
     r = np.asarray(r)
-    n = r.shape[0]
-    if r.shape != (n, n):
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError("expected a square matrix")
-    out = np.empty_like(r, dtype=complex)
-    for k in range(n):
-        upper = np.diagonal(r, offset=k)
-        lower = np.diagonal(r, offset=-k)
-        vals = np.concatenate([upper, lower.conj()])
-        if np.all(vals == vals[0]):
-            mean = vals[0]
-        else:
-            mean = np.mean(vals)
-        if k == 0:
-            mean = complex(mean.real, 0.0)
-        idx = np.arange(n - k)
-        out[idx, idx + k] = mean
-        out[idx + k, idx] = np.conj(mean)
-    return out
+    n = r.shape[0]
+    gather, lower, first, starts, lengths, slices, source = _diagonal_pairs(n)
+    vals = r.take(gather)
+    if vals.dtype.kind == "c":
+        np.conjugate(vals, out=vals, where=lower)
+    same = np.logical_and.reduceat(vals == vals[first], starts)
+    acc = np.float64 if r.dtype.kind in "biu" else np.float32 if r.dtype == np.float16 else r.dtype
+    sums = np.array([np.add.reduce(vals[s], dtype=acc) for s in slices], dtype=acc)
+    means = (sums / lengths).astype(np.float16 if r.dtype == np.float16 else acc)
+    mean = np.where(same, vals[starts], means)
+    both = np.concatenate([mean, mean.conj()]).astype(complex)
+    both.imag[:1] = -0.0  # the diagonal holds conj(real mean)
+    return both[source]
 
 
 def perturb_scenario(scn, doa_variance_deg2: float, seed: int):

@@ -9,6 +9,8 @@ harness.evaluate replaced: it calls the library's selectors and scorer,
 and pins the order in which they run and the streams they draw from.
 Its random baseline comes from oracle_random_masks, one Generator.choice
 call per mask, which harness.random_masks replays from raw words.
+oracle_toeplitz_average averages one diagonal pair at a time with np.mean,
+the bits snapshots.toeplitz_average must reproduce.
 """
 
 import csv
@@ -300,6 +302,22 @@ def oracle_read_dataset(path):
         raise ValueError(f"{path}: no data rows")
     y = np.array([[float(b) for b in bits] for bits in labels])
     return np.array(numbers)[:, 1:], y, ids
+
+
+def oracle_toeplitz_average(r):
+    """Each diagonal pair's np.mean, one pair at a time."""
+    r = np.asarray(r)
+    n = r.shape[0]
+    out = np.empty_like(r, dtype=complex)
+    for k in range(n):
+        vals = np.concatenate([np.diagonal(r, offset=k), np.diagonal(r, offset=-k).conj()])
+        mean = vals[0] if np.all(vals == vals[0]) else np.mean(vals)
+        if k == 0:
+            mean = complex(mean.real, 0.0)
+        idx = np.arange(n - k)
+        out[idx, idx + k] = mean
+        out[idx + k, idx] = np.conj(mean)
+    return out
 
 
 def oracle_random_masks(n_grid, p, n_draws, rng):

@@ -236,3 +236,19 @@ def test_more_sensors_never_hurt_optimum_sinr():
     w_big = beamformer.max_sinr_weights(r_s, r_xx, mask=big)
     assert (beamformer.output_sinr(w_big, r_s, r_sn).linear
             >= beamformer.output_sinr(w_small, r_s, r_sn).linear - 1e-12)
+
+
+def test_scene_terms_pairs_are_cached_and_read_only():
+    for l_count in range(5):
+        geom, scn = build(l_count=l_count, seed=40 + l_count, n_grid=10)
+        pairs = beamformer._lower_pairs(l_count + 1)
+        assert beamformer._lower_pairs(l_count + 1) is pairs
+        i, j = np.tril_indices(l_count + 1)
+        assert np.array_equal(pairs[0], i) and np.array_equal(pairs[1], j)
+        for a in pairs:
+            with pytest.raises(ValueError):
+                a[0] = 1
+        u = np.stack([scene.steering_vector(geom, s.doa_deg) for s in scn.interferers]
+                     + [scene.steering_vector(geom, scn.desired.doa_deg)])
+        table = np.ascontiguousarray((u[i].conj() * u[j]).T).view(np.float64)
+        assert beamformer.scene_terms(geom, scn).table.tobytes() == table.tobytes()

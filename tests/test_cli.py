@@ -263,7 +263,7 @@ def test_fig7_with_one_configuration_exits_two(scenario_path, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "C(8,8) = 1" in captured.err
-    assert not (out / "fig7_manifest.json").exists()
+    assert not out.exists()
 
 
 def test_compare_command_gaps_nonnegative(scenario_path, tmp_path):
@@ -291,6 +291,34 @@ def test_bad_inputs_exit_code_two(tmp_path, scenario_path, capsys):
                      "--out-dir", str(tmp_path)]) == 2
     assert cli.main(["enumerate", scenario_path, "--n-grid", "8",
                      "--n-select", "9", "--out-dir", str(tmp_path)]) == 2
+    capsys.readouterr()
+
+
+def test_failed_call_removes_the_out_dir_it_made(tmp_path, scenario_path, capsys):
+    # exit 2: a missing config, with a nested --out-dir made and removed whole
+    assert cli.main(["eval", str(tmp_path / "missing.json"),
+                     "--out-dir", str(tmp_path / "out2" / "deep")]) == 2
+    # exit 3: the budget stops the search after the directory was made
+    assert cli.main(["enumerate", scenario_path, "--n-grid", "8", "--n-select", "3",
+                     "--budget", "5", "--out-dir", str(tmp_path / "out3")]) == 3
+    assert not (tmp_path / "out2").exists() and not (tmp_path / "out3").exists()
+    # a path through a missing directory: makedirs makes both x and y
+    assert cli.main(["eval", str(tmp_path / "missing.json"),
+                     "--out-dir", str(tmp_path / "x" / ".." / "y")]) == 2
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+    capsys.readouterr()
+
+
+def test_failed_call_keeps_directories_it_did_not_make(tmp_path, capsys):
+    # an empty parent and an empty --out-dir that were there before both survive
+    parent, given = tmp_path / "parent", tmp_path / "given"
+    parent.mkdir()
+    given.mkdir()
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["eval", missing, "--out-dir", str(parent / "a" / "b")]) == 2
+    assert cli.main(["eval", missing, "--out-dir", str(given)]) == 2
+    assert parent.is_dir() and not any(parent.iterdir())
+    assert given.is_dir()
     capsys.readouterr()
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from sparsebeam import scene, snapshots
 
+from .oracles import oracle_toeplitz_average
+
 
 def build(l_count=2, seed=0, n_grid=8):
     rng = np.random.default_rng(seed)
@@ -69,6 +71,101 @@ def test_toeplitz_average_preserves_exact_toeplitz_input():
     _, _, r_xx = scene.correlation_matrices(geom, scn)
     t = snapshots.toeplitz_average(r_xx)
     assert np.allclose(t, r_xx, atol=1e-12)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_hermitian_toeplitz(rng, n):
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c[0] = c[0].real
+    i, j = np.indices((n, n))
+    return np.where(j >= i, c[np.abs(j - i)], c[np.abs(j - i)].conj())
+
+
+def test_toeplitz_average_matches_loop_bit_for_bit():
+    # every pair's mean is np.mean's, kept values and signed zeros included;
+    # this also fails if numpy's mean stops being add.reduce plus a division
+    rng = np.random.default_rng(20)
+    dtypes = (np.complex128, np.complex64, np.float64, np.float32, np.float16, np.int64)
+    cases = 0
+    for trial in range(1200):
+        n = trial % 24 + 1
+        dtype = np.dtype(dtypes[trial % len(dtypes)])
+        if dtype.kind == "i":  # small integers: many pairs are all equal
+            r = rng.integers(-3, 4, size=(n, n))
+        elif dtype.kind == "c":
+            r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        else:
+            r = rng.standard_normal((n, n))
+        r = r.astype(dtype)
+        assert same_bits(snapshots.toeplitz_average(r), oracle_toeplitz_average(r))
+        cases += 1
+    for trial in range(600):
+        geom, scn = build(l_count=trial % 5, seed=trial, n_grid=trial % 23 + 2)
+        x = snapshots.simulate_snapshots(geom, scn, trial + 1, seed=trial)
+        r = snapshots.sample_covariance(x)
+        t = snapshots.toeplitz_average(r)
+        assert same_bits(t, oracle_toeplitz_average(r))
+        cases += 1
+    for trial in range(240):
+        exact = random_hermitian_toeplitz(rng, trial % 24 + 1)
+        t = snapshots.toeplitz_average(exact)
+        assert same_bits(t, oracle_toeplitz_average(exact))
+        assert np.array_equal(t, exact)
+        # bit for bit too, once the diagonal's zero imaginary parts are -0.0
+        exact.imag[np.diag_indices_from(exact)] = -0.0
+        assert same_bits(snapshots.toeplitz_average(exact), exact)
+        cases += 1
+    assert cases >= 2000
+
+
+def test_toeplitz_average_real_input_keeps_float_mean():
+    # a real pair is averaged in float: sum / count, not complex division
+    rng = np.random.default_rng(21)
+    r = rng.standard_normal((9, 9))
+    t = snapshots.toeplitz_average(r)
+    for k in range(1, 9):
+        vals = np.concatenate([np.diagonal(r, k), np.diagonal(r, -k)])
+        assert t[0, k].real == np.add.reduce(vals) / vals.size
+        assert t[0, k].imag == 0.0 and t[k, 0].imag == 0.0
+    assert same_bits(t, oracle_toeplitz_average(r))
+
+
+def test_toeplitz_average_all_equal_diagonal_and_nans():
+    rng = np.random.default_rng(22)
+    r = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    # one all-equal pair keeps its value, which the mean of its 12 copies would not
+    v = 0.1 + 0.7j
+    for d in range(6):
+        r[d, d + 2], r[d + 2, d] = v, np.conj(v)
+    assert np.add.reduce(np.full(12, v)) / 12 != v
+    r[1, 5] = np.nan
+    r[6, 2] = complex(1.0, np.nan)
+    t = snapshots.toeplitz_average(r)
+    assert same_bits(t, oracle_toeplitz_average(r))
+    assert t[0, 2] == v and t[2, 0] == np.conj(v)
+    lag = np.abs(np.subtract.outer(range(8), range(8)))
+    assert np.isnan(t[lag == 4]).all() and not np.isnan(t[lag != 4]).any()
+
+
+def test_toeplitz_average_rejects_non_square_input():
+    for bad in (np.zeros((3, 4)), np.zeros(5), np.zeros((2, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="square"):
+            snapshots.toeplitz_average(bad)
+
+
+def test_toeplitz_index_tables_are_shared_and_read_only():
+    tables = snapshots._diagonal_pairs(5)
+    assert snapshots._diagonal_pairs(5) is tables
+    arrays = [t for t in tables if isinstance(t, np.ndarray)]
+    assert arrays
+    for t in arrays:
+        with pytest.raises(ValueError):
+            t[0] = 1
+    # bounded like enumeration._subset_table
+    assert snapshots._diagonal_pairs.cache_info().maxsize is not None
 
 
 def test_perturbation_spreads_doas_with_expected_scale():
