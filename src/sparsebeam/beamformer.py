@@ -227,8 +227,8 @@ def _lower_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def scene_terms(geom, scn) -> SceneTerms:
-    u = np.stack([scene.steering_vector(geom, src.doa_deg) for src in scn.interferers]
-                 + [scene.steering_vector(geom, scn.desired.doa_deg)])
+    u = scene.steering_matrix(geom, [*(src.doa_deg for src in scn.interferers),
+                                     scn.desired.doa_deg])
     i, j = _lower_pairs(len(u))
     table = np.ascontiguousarray((u[i].conj() * u[j]).T).view(np.float64)
     return SceneTerms(

@@ -11,6 +11,23 @@ charges each subset N / BUDGET_GRID, so it bounds the mask cells an
 enumeration touches as well. The reduction keeps the first configuration
 within a 1e-12 relative tie band, so the argmax is the lexicographically
 smallest optimal subset and is independent of the blocks.
+
+The best and the worst need only one configuration per class of translates
+and mirrors. In an exact scene (uncorrelated far-field sources in white noise
+on a uniform grid) R_sn[m, n] depends on m - n alone, and translating a
+subset J by t changes the desired steering vector by one phase, so
+SINR(J + t) = SINR(J) in exact arithmetic; the mirror n -> N-1-n conjugates
+the problem and keeps the SINR too. The subsets that hold sensor 0 rank
+before all others (ranks below C(N-1, P-1)), and a class holds at most two
+of them: any member shifted back to sensor 0, and its mirror shifted back.
+So a class's first member holds sensor 0 and ranks no later than its
+shifted mirror, and scan_subsets scores only such first members
+(_class_table), so its winner holds sensor 0. Where the table they are cut
+from, _subset_table(N, P, 1), would exceed one block, it scores instead the
+blocks whose prefix starts with sensor 0: every subset that holds it. The
+budget still charges C(N, P). A class's members differ in score by rounding
+only, so its first member now wins where the full scan let rounding put a
+later member ahead by more than the tie band.
 """
 
 from __future__ import annotations
@@ -152,20 +169,55 @@ def _subset_chunks(n: int, p: int):
         start += len(block)
 
 
+@functools.lru_cache(maxsize=4)
+def _class_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first member of every translate-and-mirror class of P-subsets of
+    range(n), as read-only rank ids and (C, N) float masks in rank order: the
+    rows of _subset_table(n, p, 1), with sensor 0 added, whose index tuple
+    is no later than its mirror's shifted back to sensor 0."""
+    tail = _subset_table(n, p, 1)
+    # the rank of a subset that holds sensor 0 is its row in `tail`
+    idx = np.zeros((len(tail), p), dtype=np.intp)
+    idx[:, 1:] = tail.nonzero()[1].reshape(len(tail), p - 1)
+    diff = idx - (idx[:, -1:] - idx[:, ::-1])
+    first = np.argmax(diff != 0, axis=1)
+    rank_ids = np.flatnonzero(np.take_along_axis(diff, first[:, None], axis=1)[:, 0] <= 0)
+    masks = tail[rank_ids]
+    masks[:, 0] = 1.0
+    for a in (rank_ids, masks):
+        a.flags.writeable = False
+    return rank_ids, masks
+
+
+def _class_blocks(n: int, p: int):
+    """Yield (rank ids, float masks) blocks holding the first member of every
+    translate-and-mirror class (module docstring): _class_table when
+    _subset_table(n, p, 1) fits one block, else the blocks of _subset_chunks
+    that lie below rank C(n-1, p-1)."""
+    held = math.comb(n - 1, p - 1)
+    if held * n <= _BLOCK_CELLS:
+        yield _class_table(n, p)
+        return
+    for start, masks in _subset_chunks(n, p):
+        if start >= held:
+            return
+        yield range(start, start + len(masks)), masks
+
+
 def scan_subsets(geom, scn, p: int, worst: bool = False,
                  budget: int = DEFAULT_BUDGET) -> RankedConfiguration:
     """The subset of highest output SINR, or the lowest with `worst`, scored
-    block by block with beamformer.subset_sinr_batch.
+    block by block with beamformer.subset_sinr_batch over the first member
+    of every translate-and-mirror class, so the winner holds sensor 0.
 
-    A configuration and its grid-reversed mirror score the same in exact
-    arithmetic but differ by ~1e-14 in floats, so the first subset in
-    lexicographic order within the relative tie band of the extreme wins,
-    whatever the blocks.
+    Distinct subsets that score the same in exact arithmetic differ by
+    ~1e-14 in floats, so the first subset in lexicographic order within the
+    relative tie band of the extreme wins, whatever the blocks.
     """
     _check_budget(geom.n_grid, p, budget)
     terms = beamformer.scene_terms(geom, scn)
     kept = None
-    for start, masks in _subset_chunks(geom.n_grid, p):
+    for rank_ids, masks in _class_blocks(geom.n_grid, p):
         vals = beamformer.subset_sinr_batch(terms, masks)
         if worst:
             k = int(np.argmax(vals <= vals.min() * (1.0 + REL_TIE_TOL)))
@@ -174,7 +226,7 @@ def scan_subsets(geom, scn, p: int, worst: bool = False,
             k = int(np.argmax(vals >= vals.max() / (1.0 + REL_TIE_TOL)))
             wins = kept is None or vals[k] > kept[2] * (1.0 + REL_TIE_TOL)
         if wins:
-            kept = (start + k, masks[k].astype(int), float(vals[k]))
+            kept = (int(rank_ids[k]), masks[k].astype(int), float(vals[k]))
     return RankedConfiguration(rank_id=kept[0], mask=kept[1], sinr=Sinr(kept[2]))
 
 

@@ -18,6 +18,7 @@ generator, a buffered 32-bit half, P = N, N > 10,000, a rejected draw).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -49,6 +50,18 @@ _FLOYD_MAX_POPULATION, _REPLAY_BLOCK_CELLS = 10_000, 1 << 16
 def _check_int(name: str, value, low: int) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+# scenario_stream draws each look's scenes in a row, so a few cached grids of
+# at most MAX_INTERFERER_ANGLES angles each serve a whole stream
+@functools.lru_cache(maxsize=8)
+def _angle_grid(grid_deg: tuple[float, float, float], exclude: float | None) -> np.ndarray:
+    start, stop, step = grid_deg
+    grid = np.arange(start, stop + 0.5 * step, step)
+    if exclude is not None:
+        grid = grid[np.abs(grid - exclude) > 1e-9]
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -129,12 +142,9 @@ class ExperimentConfig:
         return ArrayGeometry(self.n_grid)
 
     def interferer_grid(self, exclude: float | None) -> np.ndarray:
-        """Candidate interferer angles; `exclude` removes the look direction."""
-        start, stop, step = self.interferer_grid_deg
-        grid = np.arange(start, stop + 0.5 * step, step)
-        if exclude is not None:
-            grid = grid[np.abs(grid - exclude) > 1e-9]
-        return grid
+        """Candidate interferer angles as a cached read-only array; `exclude`
+        removes the look direction."""
+        return _angle_grid(tuple(self.interferer_grid_deg), exclude)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -631,22 +631,40 @@ def save_model(path, nets: list[MlpModel]) -> None:
 
 def load_model(path) -> list[MlpModel]:
     """The networks of a save_model file; a truncated, malformed or mixed-shape
-    file is a ValueError. The whole file is read first, so sizes in a corrupt
-    header can make a read come up short but never allocate more than it holds."""
+    file is a ValueError, and so, naming the file, is a non-finite weight,
+    bias or feature mean, or a feature scale that is not finite or lies below
+    _SCALE_FLOOR, which train never writes. The whole file is read first, so
+    sizes in a corrupt header can make a read come up short but never
+    allocate more than it holds."""
     with open(path, "rb") as raw:
         fh = _ModelBytes(raw.read())
     magic = fh.read(4)
-    if magic == _MAGIC:
-        return [_read_single(fh)]
-    if magic != _MAGIC_ENSEMBLE:
+    if magic not in (_MAGIC, _MAGIC_ENSEMBLE):
         raise ValueError("not a model file")
-    (count,) = struct.unpack("<I", fh.read(4))
+    (count,) = struct.unpack("<I", fh.read(4)) if magic == _MAGIC_ENSEMBLE else (1,)
     if not 1 <= count <= MAX_ENSEMBLE:
         raise ValueError(f"implausible ensemble member count {count}")
     nets = [_read_single(fh) for _ in range(count)]
     if any(net.layer_sizes != nets[0].layer_sizes for net in nets):
         raise ValueError("ensemble members must share layer sizes")
+    for net in nets:
+        _check_values(path, net)
     return nets
+
+
+def _check_values(path, net: MlpModel) -> None:
+    # min and max are NaN when any value is, and infinite when any value is
+    # infinite: the check allocates nothing
+    named = [*(("weight", w) for w in net.weights), *(("bias", b) for b in net.biases)]
+    if net.feature_mean is not None:
+        named.append(("feature mean", net.feature_mean))
+    for what, values in named:
+        if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+            raise ValueError(f"{path}: model file holds a non-finite {what}")
+    scale = net.feature_scale
+    if scale is not None and not (scale.min() >= _SCALE_FLOOR and scale.max() < math.inf):
+        raise ValueError(f"{path}: model file holds a feature scale that is not finite "
+                         f"or lies below {_SCALE_FLOOR:g}")
 
 
 def write_dataset_csv(path, records) -> int:

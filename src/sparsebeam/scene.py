@@ -73,13 +73,20 @@ def phase_step(geom: ArrayGeometry, doa_deg: float) -> float:
     return 2.0 * np.pi * geom.spacing_wavelengths * math.cos(math.radians(doa_deg))
 
 
-def steering_vector(geom: ArrayGeometry, doa_deg: float) -> np.ndarray:
-    """Unit-modulus array response for a plane wave from `doa_deg`.
+def steering_matrix(geom: ArrayGeometry, doas_deg) -> np.ndarray:
+    """(S, N) unit-modulus array responses, row s for a plane wave from
+    doas_deg[s], all in one np.exp.
 
-    Entry k is exp(j * phase_step * k), k = 0..N-1, so the first entry is
-    always 1.
+    Entry k of a row is exp(j * phase_step * k), k = 0..N-1, so the first
+    entry is always 1.
     """
-    return np.exp(1j * phase_step(geom, doa_deg) * np.arange(geom.n_grid))
+    phases = np.array([phase_step(geom, doa) for doa in doas_deg], dtype=float)
+    return np.exp(1j * phases[:, None] * np.arange(geom.n_grid))
+
+
+def steering_vector(geom: ArrayGeometry, doa_deg: float) -> np.ndarray:
+    """The steering_matrix row of one plane wave from `doa_deg`."""
+    return steering_matrix(geom, (doa_deg,))[0]
 
 
 def correlation_matrices(
@@ -91,11 +98,11 @@ def correlation_matrices(
     by the source power; the interference-plus-noise matrix adds one rank-1
     term per interferer plus noise_power * I. The total is their sum, exactly.
     """
-    s = steering_vector(geom, scn.desired.doa_deg)
+    s, *vs = steering_matrix(geom, [scn.desired.doa_deg,
+                                    *(src.doa_deg for src in scn.interferers)])
     r_s = scn.desired.power * np.outer(s, s.conj())
     r_sn = scn.noise_power * np.eye(geom.n_grid, dtype=complex)
-    for src in scn.interferers:
-        v = steering_vector(geom, src.doa_deg)
+    for src, v in zip(scn.interferers, vs):
         r_sn += src.power * np.outer(v, v.conj())
     return r_s, r_sn, r_s + r_sn
 

@@ -13,7 +13,6 @@ run re-simulates them from its seed.
 from __future__ import annotations
 
 import functools
-from dataclasses import replace
 
 import numpy as np
 
@@ -35,11 +34,12 @@ def simulate_snapshots(geom, scn, n_snapshots: int, seed: int) -> np.ndarray:
     t, n = n_snapshots, geom.n_grid
 
     sources = [scn.desired, *scn.interferers]
+    steering = scene.steering_matrix(geom, [src.doa_deg for src in sources])
     x = np.zeros((t, n), dtype=complex)
-    for src in sources:
+    for src, v in zip(sources, steering):
         symbols = rng.integers(0, 2, size=t) * 2 - 1
         amps = symbols * np.sqrt(src.power)
-        x += amps[:, None] * scene.steering_vector(geom, src.doa_deg)[None, :]
+        x += amps[:, None] * v[None, :]
     sigma = np.sqrt(scn.noise_power / 2.0)
     noise = rng.standard_normal((t, n)) + 1j * rng.standard_normal((t, n))
     return x + sigma * noise
@@ -125,16 +125,14 @@ def perturb_scenario(scn, doa_variance_deg2: float, seed: int):
     degrees), clamped to (0.5, 179.5) deg.
 
     Jitter is drawn for the desired source first, then each interferer in
-    order.
+    order, in one rng.normal call.
     """
     if doa_variance_deg2 < 0:
         raise ValueError("variance must be >= 0")
     rng = np.random.default_rng(seed)
     std = float(np.sqrt(doa_variance_deg2))
-
-    def jitter(doa):
-        return float(np.clip(doa + float(rng.normal(0.0, std)), *_DOA_CLAMP))
-
-    desired = replace(scn.desired, doa_deg=jitter(scn.desired.doa_deg))
-    interferers = tuple(replace(src, doa_deg=jitter(src.doa_deg)) for src in scn.interferers)
-    return replace(scn, desired=desired, interferers=interferers)
+    sources = (scn.desired, *scn.interferers)
+    doas = np.array([src.doa_deg for src in sources]) + rng.normal(0.0, std, size=len(sources))
+    moved = [scene.SourceSpec(doa, src.power)
+             for doa, src in zip(np.clip(doas, *_DOA_CLAMP).tolist(), sources)]
+    return scene.Scenario(moved[0], tuple(moved[1:]), scn.noise_power)

@@ -10,10 +10,17 @@ and pins the order in which they run and the streams they draw from.
 Its random baseline comes from oracle_random_masks, one Generator.choice
 call per mask, which harness.random_masks replays from raw words.
 oracle_toeplitz_average averages one diagonal pair at a time with np.mean,
-the bits snapshots.toeplitz_average must reproduce.
+the bits snapshots.toeplitz_average must reproduce. Four more call the
+library to pin what a rewrite of it must reproduce: oracle_scan_subsets,
+the search over every C(N, P) subset that enumeration.scan_subsets narrowed
+to one configuration per translate-and-mirror class; oracle_steering_rows
+and oracle_correlation_matrices, one np.exp per source; and
+oracle_perturb_scenario, one rng.normal draw and one dataclasses.replace
+per source.
 """
 
 import csv
+import dataclasses
 import itertools
 import math
 
@@ -385,3 +392,59 @@ def oracle_evaluate(cfg, methods, models=None, nnc_index=None, part="test", n_ra
         exact_match_rate=None if m == "random" else matches[m] / max(len(records), 1),
     ) for m in methods}
     return rows, summaries
+
+
+def oracle_scan_subsets(geom, scn, p, worst=False):
+    """(rank_id, int mask, linear SINR) of the best subset, or the worst, over
+    every C(N, P) subset, scored block by block in rank order; the first
+    subset within the relative tie band of a block's extreme stands against
+    later blocks unless one beats it by more than the band."""
+    from sparsebeam import beamformer, enumeration
+
+    terms = beamformer.scene_terms(geom, scn)
+    kept = None
+    for start, masks in enumeration._subset_chunks(geom.n_grid, p):
+        vals = beamformer.subset_sinr_batch(terms, masks)
+        if worst:
+            k = int(np.argmax(vals <= vals.min() * (1.0 + TIE_TOL)))
+            wins = kept is None or vals[k] < kept[2] * (1.0 - TIE_TOL)
+        else:
+            k = int(np.argmax(vals >= vals.max() / (1.0 + TIE_TOL)))
+            wins = kept is None or vals[k] > kept[2] * (1.0 + TIE_TOL)
+        if wins:
+            kept = (start + k, masks[k].astype(int), float(vals[k]))
+    return kept
+
+
+def oracle_steering_rows(geom, doas):
+    """One steering vector per DOA, each from its own np.exp."""
+    from sparsebeam import scene
+
+    return [np.exp(1j * scene.phase_step(geom, doa) * np.arange(geom.n_grid)) for doa in doas]
+
+
+def oracle_correlation_matrices(geom, scn):
+    """(R_s, R_sn, R_xx) with each source's steering vector built alone."""
+    s = oracle_steering_rows(geom, [scn.desired.doa_deg])[0]
+    r_s = scn.desired.power * np.outer(s, s.conj())
+    r_sn = scn.noise_power * np.eye(geom.n_grid, dtype=complex)
+    for src in scn.interferers:
+        v = oracle_steering_rows(geom, [src.doa_deg])[0]
+        r_sn += src.power * np.outer(v, v.conj())
+    return r_s, r_sn, r_s + r_sn
+
+
+def oracle_perturb_scenario(scn, doa_variance_deg2, seed):
+    """The scenario with each DOA jittered by its own rng.normal draw (the
+    desired source first) and clamped to [0.5, 179.5] deg, one source at a
+    time."""
+    rng = np.random.default_rng(seed)
+    std = float(np.sqrt(doa_variance_deg2))
+
+    def jitter(doa):
+        return float(np.clip(doa + float(rng.normal(0.0, std)), 0.5, 179.5))
+
+    desired = dataclasses.replace(scn.desired, doa_deg=jitter(scn.desired.doa_deg))
+    interferers = tuple(dataclasses.replace(src, doa_deg=jitter(src.doa_deg))
+                        for src in scn.interferers)
+    return dataclasses.replace(scn, desired=desired, interferers=interferers)

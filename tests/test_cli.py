@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -465,6 +466,34 @@ def test_truncated_model_file_exit_code_two(config_path, tmp_path, capsys):
             assert rc == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("array, value, what", [
+    ("weights", np.nan, "non-finite weight"),
+    ("biases", np.inf, "non-finite bias"),
+    ("feature_mean", np.nan, "non-finite feature mean"),
+    ("feature_scale", 0.0, "feature scale that is not finite or lies below 1e-12"),
+    ("feature_scale", np.inf, "feature scale that is not finite"),
+])
+def test_model_file_with_bad_values_exits_two(config_path, tmp_path, capsys, array, value, what):
+    # a trained N = 8 network whose file holds one value train never writes
+    net = mlp.init_model([15, 6, 8], seed=0)
+    net.feature_mean, net.feature_scale = np.zeros(15), np.ones(15)
+    good = [net, mlp.init_model([15, 6, 8], seed=1)]
+    good[1].feature_mean, good[1].feature_scale = np.zeros(15), np.ones(15)
+    mlp.save_model(tmp_path / "good.bin", good)
+    target = getattr(good[1], array)
+    (target[-1] if isinstance(target, list) else target)[..., -1] = value
+    bad = tmp_path / "bad.bin"
+    mlp.save_model(bad, good)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path, rc in ((tmp_path / "good.bin", 0), (bad, 2)):
+            assert cli.main(["eval", config_path, "--model", f"dnn={path}", "--methods",
+                             "compact_ula", "--out-dir", str(tmp_path / "out")]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: model file holds a {what}") and err.count("\n") == 1
 
 
 # Each corrupts the rows of a gen-data file (N=8, P=3, 12 rows, so 18 fields)

@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsebeam import beamformer, enumeration, scene
+from sparsebeam import beamformer, enumeration, harness, scene
 
 from .oracles import (csv_writer_bytes, oracle_best_subset, oracle_covariances,
-                      oracle_subset_sinr, oracle_worst_subset,
+                      oracle_scan_subsets, oracle_subset_sinr, oracle_worst_subset,
                       random_oracle_case)
 
 
@@ -331,3 +331,104 @@ def test_subset_table_is_shared_and_read_only():
         masks[0, 0] = 0.0
     with pytest.raises(ValueError):
         tail[0, 2] = 0.0
+
+
+def default_config_scenes(n, p, count, seed, **overrides):
+    """`count` scenes of an N-sensor grid drawn and jittered as scenario_stream
+    draws them, cycling through the default look directions."""
+    cfg = harness.ExperimentConfig(n_grid=n, n_select=p, **overrides)
+    rng = np.random.default_rng((seed, n, p))
+    looks = cfg.look_doas_deg
+    return [harness._perturbed(harness.draw_scenario(cfg, looks[i % len(looks)], rng),
+                               cfg.doa_variance_deg2, rng) for i in range(count)]
+
+
+def assert_scan_matches_full_scan(geom, scn, p):
+    for worst in (False, True):
+        got = enumeration.scan_subsets(geom, scn, p, worst=worst)
+        rank_id, mask, _ = oracle_scan_subsets(geom, scn, p, worst=worst)
+        assert (got.rank_id, got.mask.tolist()) == (rank_id, mask.tolist())
+        assert got.mask[0] == 1
+
+
+def test_class_table_holds_one_member_of_every_class():
+    for n in range(2, 13):
+        for p in range(1, n + 1):
+            rank_ids, masks = enumeration._class_table(n, p)
+            again = enumeration._class_table(n, p)
+            assert again[0] is rank_ids and again[1] is masks
+            for a in (rank_ids, masks):
+                with pytest.raises(ValueError):
+                    a.flat[0] = 0
+            rows = [tuple(np.flatnonzero(m).tolist()) for m in masks]
+            assert [enumeration.subset_rank(r, n) for r in rows] == rank_ids.tolist()
+            assert all(r[0] == 0 for r in rows)
+            table = dict(zip(rows, range(len(rows))))
+            hits = np.zeros(len(rows), dtype=int)
+            for subset in itertools.combinations(range(n), p):
+                # the class members that hold sensor 0: the subset and its
+                # mirror, each shifted back to sensor 0
+                shifted = tuple(i - subset[0] for i in subset)
+                mirrored = tuple(subset[-1] - i for i in reversed(subset))
+                found = {table[c] for c in (shifted, mirrored) if c in table}
+                assert len(found) == 1
+                hits[found.pop()] += 1
+            assert hits.min() >= 1
+
+
+def test_scan_matches_full_scan_on_default_config_scenes():
+    # every P of N = 8..22, more scenes where C(N, P) is small: 3,000 and
+    # more scenes, best and worst; from N = 21 the widest P take the
+    # rank-prefix path
+    scenes = 0
+    for n in range(8, 23):
+        geom = scene.ArrayGeometry(n)
+        for p in range(1, n + 1):
+            count = min(24, max(1, 60_000 // math.comb(n, p)))
+            for scn in default_config_scenes(n, p, count, 91):
+                assert_scan_matches_full_scan(geom, scn, p)
+            scenes += count
+    assert scenes >= 3000
+
+
+@pytest.mark.parametrize("cells", [1, 100, 1000])
+def test_scan_matches_full_scan_in_small_blocks(monkeypatch, cells):
+    # the rank-prefix path, against the full scan in default blocks
+    cases = [(n, p, scn) for n in (8, 10, 12) for p in range(1, n + 1)
+             for scn in default_config_scenes(n, p, 3, 92)]
+    want = [[oracle_scan_subsets(scene.ArrayGeometry(n), scn, p, worst=w)[:2]
+             for w in (False, True)] for n, p, scn in cases]
+    monkeypatch.setattr(enumeration, "_BLOCK_CELLS", cells)
+    for (n, p, scn), refs in zip(cases, want):
+        for worst, (rank_id, mask) in zip((False, True), refs):
+            got = enumeration.scan_subsets(scene.ArrayGeometry(n), scn, p, worst=worst)
+            assert (got.rank_id, got.mask.tolist()) == (rank_id, mask.tolist())
+
+
+def test_scan_without_interferers_picks_the_first_subset():
+    # every subset of an interference-free scene scores P * SNR, so the
+    # first one wins both ways, P = 1 and P = N too
+    for n in (8, 13, 21):
+        geom = scene.ArrayGeometry(n)
+        for p in (1, 2, n // 2, n - 1, n):
+            for scn in default_config_scenes(n, p, 3, 93, n_interferers_range=(0, 0)):
+                assert scn.n_interferers == 0
+                assert_scan_matches_full_scan(geom, scn, p)
+                assert enumeration.enumerate_best(geom, scn, p).rank_id == 0
+
+
+def test_scan_scores_one_row_per_class_in_one_call_per_block(monkeypatch):
+    # 246 of the 924 subsets at N=12/P=6, one call; at N=200/P=3 the table
+    # of subsets holding sensor 0 exceeds a block, so the 198 prefix blocks
+    # (0, b) are scored, C(199 - b, 1) rows each
+    sizes = []
+    score = beamformer.subset_sinr_batch
+    monkeypatch.setattr(beamformer, "subset_sinr_batch",
+                        lambda terms, masks: sizes.append(len(masks)) or score(terms, masks))
+    scn = scene.Scenario(desired=scene.SourceSpec(60.0),
+                         interferers=(scene.SourceSpec(100.0, 30.0),))
+    for n, p, want in ((12, 6, [246]), (16, 6, [1547]), (200, 3, list(range(198, 0, -1)))):
+        for search in (enumeration.enumerate_best, enumeration.enumerate_worst):
+            sizes.clear()
+            search(scene.ArrayGeometry(n), scn, p)
+            assert sizes == want

@@ -7,6 +7,8 @@ import pytest
 
 from sparsebeam import scene
 
+from .oracles import oracle_correlation_matrices, oracle_steering_rows
+
 
 def make_scenario(l_count=2, seed=0, n_grid=12):
     rng = np.random.default_rng(seed)
@@ -123,3 +125,27 @@ def test_scenario_rejects_nonpositive_powers():
             scene.SourceSpec(doa_deg=45.0, power=bad)
         with pytest.raises(ValueError):
             scene.Scenario(desired=scene.SourceSpec(doa_deg=45.0), noise_power=bad)
+
+
+def test_steering_matrix_and_correlations_match_per_source_loop_bit_for_bit():
+    # one np.exp over every source gives each row the bits of its own np.exp
+    rng = np.random.default_rng(24)
+    for n in [*range(2, 41), *rng.integers(41, 201, size=20).tolist()]:
+        for spacing in (0.5, float(rng.uniform(0.2, 1.0))):
+            geom = scene.ArrayGeometry(n, spacing)
+            count = int(rng.integers(1, 6))
+            doas = rng.choice(np.arange(0.5, 180.0, 0.25), size=count, replace=False)
+            doas = (doas + rng.uniform(-0.1, 0.1, size=count)).tolist()
+            got = scene.steering_matrix(geom, doas)
+            want = np.stack(oracle_steering_rows(geom, doas))
+            assert got.shape == (count, n) and got.tobytes() == want.tobytes()
+            assert scene.steering_vector(geom, doas[0]).tobytes() == want[0].tobytes()
+            scn = scene.Scenario(
+                desired=scene.SourceSpec(doas[0], float(rng.uniform(0.5, 2.0))),
+                interferers=tuple(scene.SourceSpec(d, float(10 ** rng.uniform(0.0, 4.0)))
+                                  for d in doas[1:]),
+                noise_power=float(rng.uniform(0.5, 2.0)))
+            for a, b in zip(scene.correlation_matrices(geom, scn),
+                            oracle_correlation_matrices(geom, scn)):
+                assert a.tobytes() == b.tobytes()
+    assert scene.steering_matrix(scene.ArrayGeometry(4), []).shape == (0, 4)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from sparsebeam import scene, snapshots
+from sparsebeam import harness, scene, snapshots
 
-from .oracles import oracle_toeplitz_average
+from .oracles import oracle_perturb_scenario, oracle_toeplitz_average
 
 
 def build(l_count=2, seed=0, n_grid=8):
@@ -196,3 +196,50 @@ def test_perturbation_respects_flags_and_clamps():
         assert 0.5 <= p.desired.doa_deg <= 179.5
     with pytest.raises(ValueError, match="variance"):
         snapshots.perturb_scenario(edge, -0.25, seed=1)
+
+
+def test_perturbation_matches_per_source_jitter_bit_for_bit():
+    # one rng.normal draw of L+1 jitters and one clip give the stream and the
+    # bits of one draw and one clip per source, clamped angles included
+    rng = np.random.default_rng(25)
+    clamped = 0
+    for trial in range(600):
+        count = int(rng.integers(0, 5))
+        doas = rng.choice(np.arange(0.6, 179.5, 0.1), size=count + 1, replace=False)
+        scn = scene.Scenario(
+            desired=scene.SourceSpec(float(doas[0]), float(rng.uniform(0.5, 2.0))),
+            interferers=tuple(scene.SourceSpec(float(d), float(10 ** rng.uniform(1.0, 2.0)))
+                              for d in doas[1:]),
+            noise_power=float(rng.uniform(0.5, 2.0)))
+        variance = float(rng.choice([0.0, 0.25, 4.0, 400.0]))
+        seed = int(rng.integers(0, 2**63))
+        try:
+            want = oracle_perturb_scenario(scn, variance, seed)
+        except ValueError:
+            with pytest.raises(ValueError, match="distinct"):
+                snapshots.perturb_scenario(scn, variance, seed)
+            continue
+        got = snapshots.perturb_scenario(scn, variance, seed)
+        assert got == want
+        clamped += sum(s.doa_deg in (0.5, 179.5) for s in (got.desired, *got.interferers))
+    assert clamped > 20
+
+
+def test_perturbed_redraws_a_collision_like_the_per_source_jitter():
+    # two sources near the edge clamp to one angle, which Scenario refuses;
+    # _perturbed draws a new seed from its stream until one does not collide
+    nominal = scene.Scenario(desired=scene.SourceSpec(179.0),
+                             interferers=(scene.SourceSpec(179.2, 10.0),))
+    retries = 0
+    for seed in range(40):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = harness._perturbed(nominal, 100.0, rng)
+        while True:
+            try:
+                want = oracle_perturb_scenario(nominal, 100.0, int(ref_rng.integers(0, 2**63)))
+                break
+            except ValueError:
+                retries += 1
+        assert got == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert retries >= 10
