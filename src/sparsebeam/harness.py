@@ -9,11 +9,9 @@ enumeration oracle's subset scorer (score_methods), so a method picking the
 optimum reports its value to the last digit; the audit fails a method only
 when it beats the optimum by more than the shared relative tie band, since
 distinct subsets (mirrors, translations) tie it only up to rounding.
-The random baseline's masks are those of Generator.choice(N, P,
-replace=False) calls, replayed in one vectorized pass over the generator's
-raw words (Floyd's sampling, Lemire's bounded draws); random_masks makes
-the calls one by one instead wherever the replay could differ (another bit
-generator, a buffered 32-bit half, P = N, N > 10,000, a rejected draw).
+The random baseline's masks are rows of P ones and N-P zeros, shuffled row
+by row in one Generator.permuted call on the scene's stream, so every row
+is a uniform P-subset on any bit generator.
 """
 
 from __future__ import annotations
@@ -42,9 +40,6 @@ SELECTION_METHODS = ("sbsa", "nnc", "compact_ula", "sparse_ula", "worst_case")
 # an SBSA label's first step holds N(N-1) candidates of 10 N bytes (160 MiB at
 # MAX_GRID), and one scene's complex (T, N) snapshots are 64 MiB at the cap
 MAX_INTERFERER_ANGLES, MAX_GRID, MAX_SNAPSHOT_CELLS = 1 << 20, 256, 1 << 22
-# numpy's choice without replacement runs Floyd's algorithm up to this
-# population; random_masks replays it in blocks of at most this many draws
-_FLOYD_MAX_POPULATION, _REPLAY_BLOCK_CELLS = 10_000, 1 << 16
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -318,69 +313,12 @@ def check_n_random(n_grid: int, n_draws: int) -> None:
 
 def random_masks(n_grid: int, p: int, n_draws: int, rng) -> np.ndarray:
     """(n_draws, N) stack of uniformly drawn P-sensor masks, n_draws bounded
-    by check_n_random: the masks of n_draws rng.choice(N, P, replace=False)
-    calls, with rng left where those calls leave it.
-
-    numpy (2.4.6, as CI pins) makes each such call from 2P-1 bounded draws:
-    Floyd's P draws with bounds N-P .. N-1, then P-1 with bounds P-1 .. 1
-    that shuffle the picks and so leave the mask as it is. Each is Lemire's
-    method on one 32-bit half of a PCG64 word, the low half first. So the
-    masks are replayed from the generator's raw words (_replay_choice).
-    The calls themselves run instead, from the same state, wherever the
-    replay could differ: a bit generator other than PCG64, a 32-bit half
-    already buffered, P = N (a bound of 0 takes no draw), N > 10,000
-    (numpy may shuffle a whole range instead), or a draw Lemire rejects.
-    """
+    by check_n_random: rows of P ones and N-P zeros, shuffled in place row
+    by row in one rng.permuted call, so nothing is held beyond the masks."""
     check_n_random(n_grid, n_draws)
     out = np.zeros((n_draws, n_grid), dtype=int)
-    bitgen = rng.bit_generator
-    saved = bitgen.state
-    if (saved["bit_generator"] == "PCG64" and not saved["has_uint32"]
-            and 0 < p < n_grid <= _FLOYD_MAX_POPULATION and _replay_choice(out, p, bitgen)):
-        return out
-    bitgen.state = saved
-    out[:] = 0
-    for i in range(n_draws):
-        out[i, rng.choice(n_grid, size=p, replace=False)] = 1
-    return out
-
-
-def _replay_choice(out: np.ndarray, p: int, bitgen) -> bool:
-    """Fill the zeroed (draws, N) `out` with the masks of choice(N, p,
-    replace=False) calls on the PCG64 `bitgen`, which holds no buffered
-    half; False (bitgen advanced, `out` partly filled) if a draw is one that
-    Lemire's method rejects, so that numpy would draw again.
-
-    Each mask's 2p-1 draws are consecutive 32-bit halves u; a draw with
-    bound b is j = u (b+1) >> 32, rejected when the product's low 32 bits
-    (its wrapped uint32 value) fall below 2^32 mod (b+1). Floyd's step at
-    top index t takes j, or t if j is already in, one step over all rows at
-    a time. Rows go in blocks of an even count, so only the last block can
-    end on a low half, whose high half is left buffered as numpy's next
-    32-bit draw."""
-    n_draws, n = out.shape
-    width = 2 * p - 1
-    bound_excl = np.concatenate([np.arange(n - p + 1, n + 1), np.arange(p, 1, -1)])
-    threshold = ((1 << 32) % bound_excl).astype(np.uint32)
-    rows = max(2, _REPLAY_BLOCK_CELLS // width // 2 * 2)
-    for start in range(0, n_draws, rows):
-        block = out[start:start + rows]
-        flat = block.reshape(-1)
-        halves = width * len(block)
-        words = bitgen.random_raw((halves + 1) // 2)
-        u = words.astype("<u8", copy=False).view("<u4")[:halves].reshape(len(block), width)
-        if np.any(u * bound_excl.astype(np.uint32) < threshold):
-            return False
-        # (step, row) flat indices of each Floyd step's j and of its top index
-        base = np.arange(0, flat.size, n)
-        at = (u[:, :p].T * bound_excl[:p, None] >> 32) + base
-        for at_k, top_k in zip(at, base + np.arange(n - p, n)[:, None]):
-            flat[np.where(flat[at_k], top_k, at_k)] = 1
-    if halves % 2:
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = 1, int(words[-1] >> 32)
-        bitgen.state = state
-    return True
+    out[:, :p] = 1
+    return rng.permuted(out, axis=1, out=out)
 
 
 def method_mask(method: str, geom, scn, p: int,

@@ -559,9 +559,12 @@ class _ModelBytes:
         self._view = memoryview(data)
         self._pos = 0
 
+    def unread(self) -> int:
+        return len(self._view) - self._pos
+
     def read(self, n: int) -> memoryview:
         """The next n bytes; ValueError when fewer remain."""
-        if n > len(self._view) - self._pos:
+        if n > self.unread():
             raise ValueError("model file truncated")
         self._pos += n
         return self._view[self._pos - n:self._pos]
@@ -631,11 +634,11 @@ def save_model(path, nets: list[MlpModel]) -> None:
 
 def load_model(path) -> list[MlpModel]:
     """The networks of a save_model file; a truncated, malformed or mixed-shape
-    file is a ValueError, and so, naming the file, is a non-finite weight,
-    bias or feature mean, or a feature scale that is not finite or lies below
-    _SCALE_FLOOR, which train never writes. The whole file is read first, so
-    sizes in a corrupt header can make a read come up short but never
-    allocate more than it holds."""
+    file is a ValueError, and so, naming the file, is one with bytes left
+    after its last network, a non-finite weight, bias or feature mean, or a
+    feature scale that is not finite or lies below _SCALE_FLOOR, which train
+    never writes. The whole file is read first, so sizes in a corrupt header
+    can make a read come up short but never allocate more than it holds."""
     with open(path, "rb") as raw:
         fh = _ModelBytes(raw.read())
     magic = fh.read(4)
@@ -645,6 +648,8 @@ def load_model(path) -> list[MlpModel]:
     if not 1 <= count <= MAX_ENSEMBLE:
         raise ValueError(f"implausible ensemble member count {count}")
     nets = [_read_single(fh) for _ in range(count)]
+    if fh.unread():
+        raise ValueError(f"{path}: model file holds {fh.unread()} byte(s) after its last network")
     if any(net.layer_sizes != nets[0].layer_sizes for net in nets):
         raise ValueError("ensemble members must share layer sizes")
     for net in nets:

@@ -92,30 +92,24 @@ def toeplitz_average(r: np.ndarray) -> np.ndarray:
     a matrix that is already Hermitian Toeplitz is returned unchanged, bit
     for bit apart from the sign of its diagonal's zero imaginary parts.
 
-    Every pair is gathered in one take through the cached flat index of
-    _diagonal_pairs, and each mean is formed the way np.mean forms it, so
-    its bits equal np.mean's: one np.add.reduce over the pair's contiguous
-    entries, which is numpy's pairwise sum (in float64 for bool and integer
-    input, float32 for float16), then one division of all the sums by the
-    pair lengths as intp, as np.mean divides by its intp count (float32 and
-    complex64 sums therefore divide in double precision and round back; a
-    float16 mean is rounded to float16). np.add.reduceat is not used: it
-    sums each segment left to right, not pairwise.
+    The input is cast to complex128 once. Every pair is gathered in one take
+    through the cached flat index of _diagonal_pairs, and each mean is formed
+    the way np.mean forms it, so its bits equal np.mean's: one np.add.reduce
+    over the pair's contiguous entries, which is numpy's pairwise sum, then
+    one division of all the sums by the pair lengths. np.add.reduceat is not
+    used: it sums each segment left to right, not pairwise.
     """
-    r = np.asarray(r)
+    r = np.asarray(r, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError("expected a square matrix")
     n = r.shape[0]
     gather, lower, first, starts, lengths, slices, source = _diagonal_pairs(n)
     vals = r.take(gather)
-    if vals.dtype.kind == "c":
-        np.conjugate(vals, out=vals, where=lower)
+    np.conjugate(vals, out=vals, where=lower)
     same = np.logical_and.reduceat(vals == vals[first], starts)
-    acc = np.float64 if r.dtype.kind in "biu" else np.float32 if r.dtype == np.float16 else r.dtype
-    sums = np.array([np.add.reduce(vals[s], dtype=acc) for s in slices], dtype=acc)
-    means = (sums / lengths).astype(np.float16 if r.dtype == np.float16 else acc)
-    mean = np.where(same, vals[starts], means)
-    both = np.concatenate([mean, mean.conj()]).astype(complex)
+    sums = np.array([np.add.reduce(vals[s]) for s in slices])
+    mean = np.where(same, vals[starts], sums / lengths)
+    both = np.concatenate([mean, mean.conj()])
     both.imag[:1] = -0.0  # the diagonal holds conj(real mean)
     return both[source]
 

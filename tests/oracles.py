@@ -7,8 +7,9 @@ rendered with the standard csv module. The one exception is
 oracle_evaluate, the per-scene evaluation loop that the two-pass
 harness.evaluate replaced: it calls the library's selectors and scorer,
 and pins the order in which they run and the streams they draw from.
-Its random baseline comes from oracle_random_masks, one Generator.choice
-call per mask, which harness.random_masks replays from raw words.
+Its random baseline comes from oracle_random_masks, one Generator.shuffle
+call per mask, which harness.random_masks makes in one Generator.permuted
+call.
 oracle_toeplitz_average averages one diagonal pair at a time with np.mean,
 the bits snapshots.toeplitz_average must reproduce. Four more call the
 library to pin what a rewrite of it must reproduce: oracle_scan_subsets,
@@ -328,10 +329,12 @@ def oracle_toeplitz_average(r):
 
 
 def oracle_random_masks(n_grid, p, n_draws, rng):
-    """The masks of n_draws rng.choice(n_grid, p, replace=False) calls."""
+    """n_draws rows of p ones and n_grid - p zeros, each shuffled in turn
+    by one rng.shuffle call."""
     out = np.zeros((n_draws, n_grid), dtype=int)
-    for i in range(n_draws):
-        out[i, rng.choice(n_grid, size=p, replace=False)] = 1
+    out[:, :p] = 1
+    for row in out:
+        rng.shuffle(row)
     return out
 
 

@@ -496,6 +496,29 @@ def test_model_file_with_bad_values_exits_two(config_path, tmp_path, capsys, arr
     assert err.startswith(f"error: {bad}: model file holds a {what}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("damage, left", [
+    pytest.param(lambda blob: blob + b"\x00\x01\x02", lambda blob: 3, id="appended"),
+    pytest.param(lambda blob: blob + blob, len, id="concatenated"),
+    # shifts every later weight by one byte, so the last one spills over
+    pytest.param(lambda blob: blob[:len(blob) // 2] + b"\x07" + blob[len(blob) // 2:],
+                 lambda blob: 1, id="inserted"),
+])
+def test_model_file_with_trailing_bytes_exits_two(config_path, tmp_path, capsys, damage, left):
+    net = mlp.init_model([15, 6, 8], seed=0)
+    net.feature_mean, net.feature_scale = np.zeros(15), np.ones(15)
+    good = tmp_path / "good.bin"
+    mlp.save_model(good, [net])
+    blob = good.read_bytes()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(damage(blob))
+    capsys.readouterr()
+    for path, rc in ((good, 0), (bad, 2)):
+        assert cli.main(["eval", config_path, "--model", f"dnn={path}", "--methods",
+                         "compact_ula", "--out-dir", str(tmp_path / "out")]) == rc
+    assert capsys.readouterr().err == (
+        f"error: {bad}: model file holds {left(blob)} byte(s) after its last network\n")
+
+
 # Each corrupts the rows of a gen-data file (N=8, P=3, 12 rows, so 18 fields)
 # in place and returns the whole message train must print: the message of the
 # row-by-row reference reader (oracle_read_dataset), except where noted.
